@@ -31,7 +31,7 @@ from .errors import (
 )
 from .operators import OpExpr, OpTable
 from .poly import NEG_INF, Poly, Rat, falling_factorial, rat
-from .series import POS_INF, PSeries, SSeries
+from .series import POS_INF, PSeries, SSeries, _exp_neg_xt
 
 # ----------------------------------------------------------------------
 # Convergence in the discrete topology
@@ -467,13 +467,6 @@ def polynomial_diagonals(fits: Sequence) -> dict:
 
 # ----------------------------------------------------------------------
 # Generating-function consistency
-
-
-def _exp_neg_xt(trunc: int) -> PSeries:
-    return PSeries(
-        tuple(Poly.monomial(n, Rat((-1) ** n, factorial(n))) for n in range(trunc + 1)),
-        trunc,
-    )
 
 
 def gf_consistency_check(expansion: DXExpansion, N: int) -> bool:

@@ -17,16 +17,7 @@ from typing import Sequence
 from .errors import NotDegreeReducing, TruncationError
 from .operators import D, Delta, OpExpr
 from .poly import NEG_INF, Poly, Rat, RatLike, rat
-from .series import PSeries
-
-
-def _exp_neg_xt(trunc: int) -> PSeries:
-    return PSeries(
-        tuple(
-            Poly.monomial(n, Rat((-1) ** n, factorial(n))) for n in range(trunc + 1)
-        ),
-        trunc,
-    )
+from .series import PSeries, _exp_neg_xt
 
 
 @dataclass(frozen=True)

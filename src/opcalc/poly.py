@@ -1,15 +1,35 @@
 """Exact rational scalars and univariate polynomials.
 
 Scalars are arbitrary-precision rationals (`fractions.Fraction`), which are
-always kept in lowest terms with a positive denominator.  Polynomials are
-immutable tuples of such scalars indexed by exponent, with no trailing zero
-coefficient; the zero polynomial is the empty tuple and its degree is the
-distinguished sentinel ``NEG_INF`` rather than an integer.
+always kept in lowest terms with a positive denominator.
+
+A polynomial is stored as integer content over one common denominator, the
+layout of FLINT's ``fmpq_poly``: a tuple ``nums`` of integer numerators
+indexed by exponent, with no trailing zero, and one positive integer
+``den``.  The pair is kept canonical, ``gcd(den, *nums) == 1``, so equal
+polynomials have equal fields; the zero polynomial is ``((), 1)`` and its
+degree is the distinguished sentinel ``NEG_INF`` rather than an integer.
+Arithmetic works on the integers and normalises each result with one
+``math.gcd``.  ``coeffs``, the tuple of `Fraction` coefficients, is a
+read-only view built on first access.
+
+Products use Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", JSC 2009): each
+numerator list is packed into one Python int, its value at x = 2^B, with
+byte-aligned B-bit digits wide enough that no coefficient of the product
+overflows half a digit.  One big-int product then carries every
+coefficient; adding ``2^(B-1)`` to each digit makes all digits
+nonnegative for unpacking.  A factor with a single nonzero term (a
+constant or a monomial) takes a scalar path instead.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Union
 
 from .errors import ParseError
@@ -21,6 +41,13 @@ RatLike = Union[Rat, int, str]
 # Degree of the zero polynomial.  Compares below every integer, and
 # NEG_INF + k == NEG_INF, so degree bookkeeping needs no special cases.
 NEG_INF = float("-inf")
+
+# Array type codes of signed machine integers by width in bytes.  With a
+# little-endian machine order they pack and unpack Kronecker digits of up
+# to 8 bytes without a Python-level loop.
+_DIGIT_CODES = (
+    {array(code).itemsize: code for code in "bhiq"} if sys.byteorder == "little" else {}
+)
 
 
 def rat(value: RatLike) -> Rat:
@@ -34,19 +61,101 @@ def rat(value: RatLike) -> Rat:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _canonical(nums: list, den: int) -> tuple:
+    """(nums, den) with trailing zeros dropped and the common gcd divided out."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    return tuple(nums), den
+
+
+def _from_canonical(nums: tuple, den: int) -> "Poly":
+    p = object.__new__(Poly)
+    object.__setattr__(p, "nums", nums)
+    object.__setattr__(p, "den", den)
+    object.__setattr__(p, "_coeffs", None)
+    return p
+
+
+def _poly(nums: list, den: int) -> "Poly":
+    """The polynomial sum(nums[k] x^k) / den, for any positive den."""
+    return _from_canonical(*_canonical(nums, den))
+
+
+def _pack(cs, k: int, code: str) -> int:
+    """The k-byte two's-complement digits of cs, read as one nonnegative int."""
+    if code:
+        return int.from_bytes(array(code, cs).tobytes(), "little")
+    return int.from_bytes(b"".join([c.to_bytes(k, "little", signed=True) for c in cs]), "little")
+
+
+def _unpack(x: int, n: int, k: int, code: str) -> list:
+    """The n signed k-byte digits of the nonnegative int x."""
+    digits = x.to_bytes(n * k, "little")
+    if code:
+        return array(code, digits).tolist()
+    view = memoryview(digits)
+    return [int.from_bytes(view[i : i + k], "little", signed=True) for i in range(0, n * k, k)]
+
+
+def _kronecker(a: tuple, b: tuple) -> list:
+    """Integer coefficients of a*b from one big-int product."""
+    la, lb = len(a), len(b)
+    n = la + lb - 1
+    # |c_k| < min(la, lb) * 2^(bits(a) + bits(b)), which must stay below 2^(B-1).
+    bits = (
+        max(map(int.bit_length, a))
+        + max(map(int.bit_length, b))
+        + min(la, lb).bit_length()
+        + 1
+    )
+    k = (bits + 7) >> 3
+    if k <= 8:
+        k = 1 << (k - 1).bit_length()
+    B = 8 * k
+    code = _DIGIT_CODES.get(k)
+    # The digit 2^(B-1) in each of n places.  XOR with it turns
+    # two's-complement digits into digits biased by 2^(B-1); subtracting it
+    # then leaves the signed value at x = 2^B.
+    offset = int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
+    off_a = offset >> (B * (lb - 1))
+    off_b = offset >> (B * (la - 1))
+    product = ((_pack(a, k, code) ^ off_a) - off_a) * ((_pack(b, k, code) ^ off_b) - off_b)
+    # Adding the offset makes every digit nonnegative, so the digits separate
+    # without borrows; the XOR turns them back into two's complement.
+    return _unpack((product + offset) ^ offset, n, k, code)
+
+
 class Poly:
     """Univariate polynomial over the rationals, in canonical form."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*[c.denominator for c in cs])
+        nums, den = _canonical([c.numerator * (den // c.denominator) for c in cs], den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, indexed by exponent."""
+        cs = self._coeffs
+        if cs is None:
+            den = self.den
+            cs = tuple(Fraction(n, den) for n in self.nums)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
 
     # -- construction -------------------------------------------------
 
@@ -67,44 +176,55 @@ class Poly:
         """The polynomial c*x^k."""
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
-        return cls((0,) * k + (rat(c),))
+        c = rat(c)
+        return _poly([0] * k + [c.numerator], c.denominator)
 
     # -- structure ----------------------------------------------------
 
     @property
     def degree(self):
         """Degree, or the NEG_INF sentinel for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.nums) - 1 if self.nums else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, k: int) -> Rat:
         """Coefficient of x^k (zero when k is out of range)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            if self._coeffs is not None:
+                return self._coeffs[k]
+            return Fraction(self.nums[k], self.den)
         return Rat(0)
 
     @property
     def lead(self) -> Rat:
         """Leading coefficient; zero for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else Rat(0)
+        return Fraction(self.nums[-1], self.den) if self.nums else Rat(0)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
+        if not b:
+            return self
+        if not a:
+            return other
+        den = self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            scale_a, scale_b = other.den // g, den // g
+            a = [n * scale_a for n in a]
+            b = [n * scale_b for n in b]
+            den *= scale_a
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _poly([*map(add, a, b), *a[len(b) :]], den)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _from_canonical(tuple([-n for n in self.nums]), self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -113,15 +233,17 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
+            a, b = self.nums, other.nums
+            if not a or not b:
                 return Poly()
-            out = [Rat(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
+            if b.count(0) == len(b) - 1:
+                a, b = b, a
+            if a.count(0) == len(a) - 1:
+                c = a[-1]
+                nums = [0] * (len(a) - 1) + [c * n for n in b]
+            else:
+                nums = _kronecker(a, b)
+            return _poly(nums, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -143,29 +265,38 @@ class Poly:
         c = rat(c)
         if c == 0:
             return Poly()
-        return Poly(tuple(a * c for a in self.coeffs))
+        m = c.numerator
+        return _poly([n * m for n in self.nums], self.den * c.denominator)
 
     def derivative(self) -> "Poly":
         """Formal derivative."""
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        nums = self.nums
+        return _poly([k * nums[k] for k in range(1, len(nums))], self.den)
 
     def integral(self) -> "Poly":
         """Antiderivative with zero constant term (definite integral from 0)."""
-        return Poly((Rat(0),) + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)))
+        m = lcm(*range(1, len(self.nums) + 1))
+        return _poly([0] + [n * (m // k) for k, n in enumerate(self.nums, 1)], self.den * m)
 
     def eval(self, point: RatLike) -> Rat:
-        """Value at a rational point, by Horner's rule."""
+        """Value at a rational point, by Horner's rule on the numerators."""
         point = rat(point)
-        acc = Rat(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        if not self.nums:
+            return Rat(0)
+        p, q = point.numerator, point.denominator
+        # acc = sum nums[k] p^k q^(deg - k); q_pow ends at q^(deg + 1).
+        acc, q_pow = 0, 1
+        for n in reversed(self.nums):
+            acc = acc * p + n * q_pow
+            q_pow *= q
+        return Fraction(acc, self.den * (q_pow // q))
 
     def compose(self, inner: "Poly") -> "Poly":
         """Substitution self(inner(x))."""
         acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.const(c)
+        den = self.den
+        for n in reversed(self.nums):
+            acc = acc * inner + _poly([n], den)
         return acc
 
     def shift(self, a: RatLike) -> "Poly":
@@ -175,10 +306,10 @@ class Poly:
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     # -- text ------------------------------------------------------------
 

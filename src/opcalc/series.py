@@ -344,6 +344,13 @@ def exp_xt(trunc: int) -> PSeries:
     )
 
 
+def _exp_neg_xt(trunc: int) -> PSeries:
+    """exp(-xt) truncated: coefficient of t^n is (-x)^n/n!."""
+    return PSeries(
+        tuple(Poly.monomial(n, Rat((-1) ** n, factorial(n))) for n in range(trunc + 1)), trunc
+    )
+
+
 def pseries_exp(u: PSeries) -> PSeries:
     """exp of a polynomial-coefficient series with zero constant coefficient.
 

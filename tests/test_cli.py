@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from opcalc.cli import main
 
 try:
@@ -188,3 +190,32 @@ def test_outputs_byte_stable(capsys):
     first = run(capsys, "expand-xb", "J", "--basis", "Delta", "-N", "3")
     second = run(capsys, "expand-xb", "J", "--basis", "Delta", "-N", "3")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand-xd", "D", "-N", "-1"),
+        ("expand-xb", "J", "--order", "-2"),
+        ("d-expand", "Delta", "-N", "-3"),
+        ("check-dx", "J", "-n", "-1"),
+        ("expand-dx", "E(1)", "--slack", "-1"),
+        ("umbral", "--budget", "-4"),
+        ("umbral", "-N", "-1"),
+        ("normal-order", "DX", "-1", "2"),
+        ("normal-order", "XD", "2", "-1"),
+        ("counterexample", "-5"),
+    ],
+)
+def test_negative_sizes_are_usage_errors(capsys, argv):
+    for fmt in ("text", "json"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", fmt])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "must be nonnegative" in out.err
+
+
+def test_zero_window_still_reports_window_too_small(capsys):
+    code, out, err = run(capsys, "check-dx", "J", "-n", "0", "--slack", "3")
+    assert code == 4 and out == "" and "cannot support slack" in err

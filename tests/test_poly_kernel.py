@@ -1,0 +1,199 @@
+"""Differential tests of the integer-content Poly kernel against sympy.
+
+Every operation is recomputed with ``sympy.Poly(..., domain=QQ)``, which
+shares no code with opcalc, and every result is checked for the canonical
+form: a positive denominator, ``gcd(den, *nums) == 1``, no trailing zero,
+and zero stored as ``((), 1)``.  Hypothesis runs derandomized, so the
+examples are the same on every run.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opcalc import Poly
+
+X = sympy.Symbol("x")
+
+SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
+
+small = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+# Numerators and denominators beyond 2^64 force Kronecker digits wider
+# than a machine word.
+big = st.builds(
+    Fraction,
+    st.integers(-(2**90), 2**90),
+    st.integers(1, 2**70),
+)
+coeff = st.one_of(small, small, big, st.just(Fraction(0)))
+polys = st.lists(coeff, max_size=10).map(Poly)
+scalars = st.one_of(small, big)
+
+
+def to_sympy(p: Poly) -> sympy.Poly:
+    cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(cs or [0], X, domain=sympy.QQ)
+
+
+def from_sympy(f: sympy.Poly) -> Poly:
+    return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs()))
+
+
+def to_rational(c: Fraction) -> sympy.Rational:
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def assert_canonical(p: Poly) -> None:
+    assert isinstance(p.nums, tuple)
+    assert all(type(n) is int for n in p.nums)
+    assert type(p.den) is int and p.den > 0
+    if p.nums:
+        assert p.nums[-1] != 0
+        assert gcd(p.den, *p.nums) == 1
+    else:
+        assert (p.nums, p.den) == ((), 1)
+    assert p.coeffs == tuple(Fraction(n, p.den) for n in p.nums)
+
+
+def check(result: Poly, expected: sympy.Poly) -> None:
+    assert_canonical(result)
+    assert result == from_sympy(expected)
+    assert to_sympy(result) == expected
+
+
+@SETTINGS
+@given(polys, polys)
+def test_mul_matches_sympy(p, q):
+    check(p * q, to_sympy(p) * to_sympy(q))
+
+
+@SETTINGS
+@given(polys, polys)
+def test_add_sub_neg_match_sympy(p, q):
+    check(p + q, to_sympy(p) + to_sympy(q))
+    check(p - q, to_sympy(p) - to_sympy(q))
+    check(-p, -to_sympy(p))
+
+
+@SETTINGS
+@given(polys, scalars)
+def test_scale_matches_sympy(p, c):
+    check(p.scale(c), to_sympy(p) * to_rational(c))
+    check(c * p, to_sympy(p) * to_rational(c))
+
+
+@SETTINGS
+@given(polys)
+def test_derivative_and_integral_match_sympy(p):
+    check(p.derivative(), to_sympy(p).diff(X))
+    check(p.integral(), to_sympy(p).integrate(X))
+
+
+@SETTINGS
+@given(polys, scalars)
+def test_eval_matches_sympy(p, a):
+    got = p.eval(a)
+    assert isinstance(got, Fraction)
+    assert to_rational(got) == to_sympy(p).eval(to_rational(a))
+
+
+@SETTINGS
+@given(st.lists(small, max_size=6).map(Poly), st.lists(small, max_size=4).map(Poly))
+def test_compose_matches_sympy(p, q):
+    check(p.compose(q), to_sympy(p).compose(to_sympy(q)))
+
+
+@SETTINGS
+@given(polys, scalars)
+def test_shift_matches_sympy(p, a):
+    check(p.shift(a), to_sympy(p).shift(to_rational(a)))
+
+
+@SETTINGS
+@given(polys, polys, polys)
+def test_equal_polys_from_different_paths_hash_alike(p, q, r):
+    left, right = (p + q) * r, p * r + q * r
+    assert left == right and hash(left) == hash(right)
+    assert Poly(p.coeffs) == p and hash(Poly(p.coeffs)) == hash(p)
+    assert Poly.parse(str(p)) == p
+    zero = p - p
+    assert zero == Poly() and hash(zero) == hash(Poly())
+    assert (zero.nums, zero.den) == ((), 1)
+
+
+def test_constructor_is_canonical():
+    p = Poly([Fraction(2, 4), Fraction(-3, 6), 0, 0])
+    assert (p.nums, p.den) == ((1, -1), 2)
+    assert (Poly([6, 4, 0]).nums, Poly([6, 4, 0]).den) == ((6, 4), 1)
+    q = Poly([Fraction(4, 6), Fraction(2, 9)])
+    assert (q.nums, q.den) == ((6, 2), 9)
+    for z in (Poly(), Poly([0, 0]), Poly.monomial(3, 0), Poly([1]).scale(0)):
+        assert (z.nums, z.den) == ((), 1)
+
+
+def test_cancellation_is_normalised():
+    # Products and sums whose common factor only appears in the result.
+    a = Poly([Fraction(1, 3), Fraction(2, 3)])
+    b = Poly([3, 6])
+    assert_canonical(a * b)
+    assert a * b == Poly([1, 4, 4])
+    c = Poly([Fraction(1, 2), Fraction(1, 2)]) + Poly([Fraction(1, 2), Fraction(-1, 2)])
+    assert (c.nums, c.den) == ((1,), 1)
+    assert_canonical(Poly([Fraction(1, 2), 0, Fraction(1, 2)]).derivative())
+    assert_canonical(Poly([0, 2, 3]).integral())
+
+
+def test_coeffs_view_is_read_only():
+    p = Poly([Fraction(1, 2), 3])
+    assert p.coeffs == (Fraction(1, 2), Fraction(3))
+    assert p.coeffs is p.coeffs
+    with pytest.raises(AttributeError):
+        p.nums = (1,)
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+    assert p.coeff(0) == Fraction(1, 2) and p.coeff(5) == 0 and p.lead == 3
+
+
+# Kronecker edge cases: every digit width from one byte to several words,
+# with the extreme product coefficient min(la, lb) * max|a| * max|b|.
+
+EDGE_CASES = [
+    ([-1, -2, -3], [-4, 5, -6]),
+    ([1, 0, 0, 2], [0, 3, 0, -1]),
+    ([0, 0, 5], [1, -1, 1, -1, 1]),
+    ([7], [1, -2, 0, 3]),
+    ([0, 0, 0, -7], [1, -2, 0, 3]),
+    ([1, 1], [1, -1]),
+    ([2**64 + 1, -(2**65), 3], [-(2**80), 1, 2**64]),
+    ([-(2**100), 0, 2**100 - 1], [2**64 - 1, 2**63, -(2**63)]),
+]
+
+
+@pytest.mark.parametrize("a, b", EDGE_CASES)
+def test_kronecker_edge_cases(a, b):
+    p, q = Poly(a), Poly(b)
+    check(p * q, to_sympy(p) * to_sympy(q))
+    check(q * p, to_sympy(p) * to_sympy(q))
+
+
+@pytest.mark.parametrize("bits", [1, 3, 4, 7, 8, 12, 15, 16, 24, 31, 32, 48, 63, 64, 65, 100, 257])
+@pytest.mark.parametrize("n", [2, 5, 17])
+def test_kronecker_extreme_coefficients(bits, n):
+    top = 2**bits - 1
+    dense = Poly([top] * n)
+    alternating = Poly([top * (-1) ** i for i in range(n)])
+    negative = Poly([-top] * n)
+    for p, q in [(dense, negative), (dense, dense), (alternating, dense), (negative, negative)]:
+        check(p * q, to_sympy(p) * to_sympy(q))
+    # The middle coefficient reaches the digit bound exactly.
+    assert (dense * negative).nums[n - 1] == -n * top * top
+
+
+def test_kronecker_rational_operands():
+    p = Poly([Fraction(-1, 3), 0, Fraction(5, 7), Fraction(2**70, 3)])
+    q = Poly([Fraction(3, 2**66), Fraction(-9, 4)])
+    check(p * q, to_sympy(p) * to_sympy(q))
