@@ -30,7 +30,7 @@ from .errors import NotDX, NotDXEligible, OpcalcError, ParseError
 from .expansions import divided_power_basis, render_expansion, xb_expand, xd_expand
 from .normal_order import normal_order_DjXi, normal_order_XiDj, reorder_product
 from .operators import Delta, D, OpTable, shift_invariance_check, d_expand
-from .poly import Poly, parse_poly, render_poly
+from .poly import parse_poly, render_poly
 from .series import SSeries
 from .umbral import (
     DeltaOp,
@@ -120,7 +120,7 @@ def _delta_for(spec: str, budget: int) -> DeltaOp:
 
 
 def _series_str(f: SSeries) -> str:
-    return render_poly(Poly(f.coeffs), var="D")
+    return render_poly(f.poly, var="D")
 
 
 def _dx_doc(expansion: DXExpansion) -> dict:
@@ -350,7 +350,7 @@ def _cmd_umbral(args) -> int:
             "symbol_in_t": [str(c) for c in R.f.coeffs],
             "trunc": R.f.trunc_order,
         }
-        _emit(args, doc, render_poly(Poly(R.f.coeffs), var="t"))
+        _emit(args, doc, render_poly(R.f.poly, var="t"))
         return 0
     raise ParseError(f"unknown umbral action {what!r}")
 

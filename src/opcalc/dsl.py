@@ -35,7 +35,7 @@ from .operators import (
     Substitute,
     X,
 )
-from .poly import Poly, Rat, parse_poly, render_poly
+from .poly import Rat, parse_poly, render_poly
 from .series import SSeries
 
 _ATOM_NAMES = ("D", "X", "I", "J", "Delta", "E", "Eval0", "sub", "series", "poly")
@@ -253,7 +253,7 @@ def _render(op: OpExpr, top: bool = False) -> str:
     if isinstance(op, PolyInX):
         return f"poly({render_poly(op.p)})"
     if isinstance(op, SeriesInD):
-        return f"series({render_poly(Poly(op.f.coeffs), var='t')})"
+        return f"series({render_poly(op.f.poly, var='t')})"
     if isinstance(op, Compose):
         return f"{_render_tight(op.left)} {_render_tight(op.right)}"
     if isinstance(op, Scale):

@@ -202,6 +202,12 @@ class Poly:
         """Leading coefficient; zero for the zero polynomial."""
         return Fraction(self.nums[-1], self.den) if self.nums else Rat(0)
 
+    def truncate(self, n: int) -> "Poly":
+        """The terms of degree at most n."""
+        if len(self.nums) <= n + 1:
+            return self
+        return _poly(list(self.nums[: max(n + 1, 0)]), self.den)
+
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":

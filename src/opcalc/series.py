@@ -1,9 +1,21 @@
 """Truncated formal power series in t, exact in every stored coefficient.
 
-Truncation lives only in the t-direction: an ``SSeries`` holds rational
-coefficients for t^0..t^N, a ``PSeries`` holds polynomial coefficients
-(exact, unbounded degree in x) for t^0..t^N.  Operations on series of
-different truncation order return the shorter order.
+Truncation lives only in the t-direction.  An ``SSeries`` is a ``Poly``
+in t, its prefix through t^N, plus the truncation order N; every
+coefficient past N is unknown, not zero.  Its arithmetic is the
+integer-content ``Poly`` kernel followed by a truncation, so a product
+is one Kronecker multiply.  ``coeffs`` is a read-only view of the prefix
+as N + 1 `Fraction`s, padded with zeros, built on first access.
+
+``invert`` and ``reverse`` are Newton iterations that double the number
+of correct coefficients at each step: h <- h (2 - f h) for 1/f, and
+r <- r - (f(r) - t) / f'(r) for the compositional inverse, with f'(r)
+read off (f(r))' = f'(r) r' so that each step composes once.
+``compose`` is Horner's rule, truncated after every product.
+
+A ``PSeries`` holds polynomial coefficients (exact, unbounded degree in
+x) for t^0..t^N.  Operations on series of different truncation order
+return the shorter order.
 """
 
 from __future__ import annotations
@@ -13,32 +25,64 @@ from math import factorial
 from typing import Iterable
 
 from .errors import InvertError, ReverseError, TruncationError
-from .poly import Poly, Rat, RatLike, rat
+from .poly import Poly, Rat, RatLike, rat, render_poly
 
 # Order of a series whose stored prefix is identically zero.
 POS_INF = float("inf")
+
+_TWO = Poly.const(2)
+_T = Poly.monomial(1)
+
+
+def _series(p: Poly, trunc: int) -> "SSeries":
+    """The series whose prefix through t^trunc is that of p."""
+    f = object.__new__(SSeries)
+    object.__setattr__(f, "poly", p.truncate(trunc))
+    object.__setattr__(f, "trunc_order", trunc)
+    object.__setattr__(f, "_coeffs", None)
+    return f
+
+
+def _newton_orders(n: int, known: int) -> list:
+    """Orders at which to run a Newton iteration from ``known`` up to ``n``.
+
+    A step that starts correct through t^m ends correct through t^(2m+1),
+    so each order is at most twice the previous plus one; smallest first.
+    """
+    orders = []
+    while n > known:
+        orders.append(n)
+        n //= 2
+    return orders[::-1]
 
 
 class SSeries:
     """Power series with rational coefficients, truncated after t^N."""
 
-    __slots__ = ("coeffs", "trunc_order")
+    __slots__ = ("poly", "trunc_order", "_coeffs")
 
     def __init__(self, coeffs: Iterable[RatLike], trunc_order: int | None = None):
-        cs = tuple(rat(c) for c in coeffs)
+        cs = [rat(c) for c in coeffs]
         if trunc_order is None:
             trunc_order = len(cs) - 1
         if trunc_order < 0:
             raise ValueError("truncation order must be nonnegative")
-        if len(cs) < trunc_order + 1:
-            cs = cs + (Rat(0),) * (trunc_order + 1 - len(cs))
-        elif len(cs) > trunc_order + 1:
-            cs = cs[: trunc_order + 1]
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "poly", Poly(cs[: trunc_order + 1]))
         object.__setattr__(self, "trunc_order", trunc_order)
+        object.__setattr__(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SSeries is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of t^0..t^N as Fractions, zeros included."""
+        cs = self._coeffs
+        if cs is None:
+            cs = self.poly.coeffs
+            cs += (Rat(0),) * (self.trunc_order + 1 - len(cs))
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
 
     # -- construction --------------------------------------------------
 
@@ -63,39 +107,42 @@ class SSeries:
     @classmethod
     def from_poly(cls, p: Poly, trunc: int) -> "SSeries":
         """Read a polynomial in t as a series (tail genuinely zero)."""
-        return cls(p.coeffs, trunc)
+        if trunc < 0:
+            raise ValueError("truncation order must be nonnegative")
+        return _series(p, trunc)
 
     # -- structure ------------------------------------------------------
 
     def coeff(self, k: int) -> Rat:
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k <= self.trunc_order:
             return self.coeffs[k]
         return Rat(0)
 
     def order(self):
         """Smallest index with a nonzero coefficient, or POS_INF."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
+        for k, n in enumerate(self.poly.nums):
+            if n:
                 return k
         return POS_INF
 
     def is_zero_prefix(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.poly.is_zero()
 
     def truncate(self, trunc: int) -> "SSeries":
         if trunc > self.trunc_order:
             raise TruncationError(
                 f"cannot extend truncation {self.trunc_order} to {trunc}"
             )
-        return SSeries(self.coeffs[: trunc + 1], trunc)
+        if trunc < 0:
+            raise ValueError("truncation order must be nonnegative")
+        return _series(self.poly, trunc)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "SSeries") -> "SSeries":
         if not isinstance(other, SSeries):
             return NotImplemented
-        n = min(self.trunc_order, other.trunc_order)
-        return SSeries(tuple(self.coeff(k) + other.coeff(k) for k in range(n + 1)), n)
+        return _series(self.poly + other.poly, min(self.trunc_order, other.trunc_order))
 
     def __sub__(self, other: "SSeries") -> "SSeries":
         if not isinstance(other, SSeries):
@@ -103,19 +150,12 @@ class SSeries:
         return self + (-other)
 
     def __neg__(self) -> "SSeries":
-        return SSeries(tuple(-c for c in self.coeffs), self.trunc_order)
+        return _series(-self.poly, self.trunc_order)
 
     def __mul__(self, other) -> "SSeries":
         if isinstance(other, SSeries):
             n = min(self.trunc_order, other.trunc_order)
-            out = [Rat(0)] * (n + 1)
-            for i in range(min(len(self.coeffs), n + 1)):
-                a = self.coeffs[i]
-                if a == 0:
-                    continue
-                for j in range(min(len(other.coeffs), n + 1 - i)):
-                    out[i + j] += a * other.coeffs[j]
-            return SSeries(out, n)
+            return _series(self.poly.truncate(n) * other.poly.truncate(n), n)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -126,8 +166,7 @@ class SSeries:
         return NotImplemented
 
     def scale(self, c: RatLike) -> "SSeries":
-        c = rat(c)
-        return SSeries(tuple(a * c for a in self.coeffs), self.trunc_order)
+        return _series(self.poly.scale(c), self.trunc_order)
 
     def __pow__(self, n: int) -> "SSeries":
         if not isinstance(n, int) or n < 0:
@@ -141,56 +180,53 @@ class SSeries:
         """Formal derivative; the result is one order shorter."""
         if self.trunc_order < 1:
             raise TruncationError("cannot differentiate a series truncated at order 0")
-        return SSeries(
-            tuple(k * self.coeffs[k] for k in range(1, len(self.coeffs))),
-            self.trunc_order - 1,
-        )
+        return _series(self.poly.derivative(), self.trunc_order - 1)
 
     def invert(self) -> "SSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if self.coeff(0) == 0:
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        Newton iteration h <- h (2 - f h) from h = 1/f(0).
+        """
+        f = self.poly
+        if f.coeff(0) == 0:
             raise InvertError("series with zero constant term has no inverse")
-        n = self.trunc_order
-        c0 = self.coeff(0)
-        out = [Rat(0)] * (n + 1)
-        out[0] = 1 / c0
-        for k in range(1, n + 1):
-            acc = Rat(0)
-            for j in range(1, k + 1):
-                acc += self.coeff(j) * out[k - j]
-            out[k] = -acc / c0
-        return SSeries(out, n)
+        h = Poly.const(1 / f.coeff(0))
+        for m in _newton_orders(self.trunc_order, 0):
+            fh = (f.truncate(m) * h).truncate(m)
+            h = (h * (_TWO - fh)).truncate(m)
+        return _series(h, self.trunc_order)
 
     def compose(self, inner: "SSeries") -> "SSeries":
         """self(inner(t)); requires ord(inner) >= 1 within truncation."""
-        if inner.coeff(0) != 0:
+        if inner.poly.coeff(0) != 0:
             raise ValueError("composition requires inner series of order >= 1")
         n = min(self.trunc_order, inner.trunc_order)
-        g = inner.truncate(n) if inner.trunc_order > n else inner
-        acc = SSeries.zero(n)
-        for c in reversed(self.coeffs[: n + 1]):
-            acc = acc * g + SSeries((c,), n)
-        return acc
+        g = inner.poly.truncate(n)
+        acc = Poly()
+        for c in reversed(self.poly.truncate(n).coeffs):
+            acc = (acc * g).truncate(n)
+            if c:
+                acc = acc + Poly.const(c)
+        return _series(acc, n)
 
     def reverse(self) -> "SSeries":
         """Compositional inverse r with r(self(t)) = t up to truncation.
 
-        Requires order exactly 1.  Solved coefficient by coefficient: with
-        r known below t^n, the t^n coefficient of self(r) is linear in the
-        unknown with slope equal to self's linear coefficient.
+        Requires order exactly 1.  Newton iteration on composition,
+        r <- r - (f(r) - t) / f'(r) from r = t / f'(0).
         """
-        if self.coeff(0) != 0 or self.coeff(1) == 0:
+        f = self.poly
+        if f.coeff(0) != 0 or f.coeff(1) == 0:
             raise ReverseError("compositional inverse requires order exactly 1")
-        n = self.trunc_order
-        c1 = self.coeff(1)
-        d = [Rat(0)] * (n + 1)
-        if n >= 1:
-            d[1] = 1 / c1
-        for m in range(2, n + 1):
-            partial = SSeries(d[: m + 1], m)
-            got = self.truncate(m).compose(partial).coeff(m)
-            d[m] = -got / c1
-        return SSeries(d, n)
+        r = _series(_T.scale(1 / f.coeff(1)), 1)
+        for m in _newton_orders(self.trunc_order, 1):
+            r = _series(r.poly, m)
+            fr = self.truncate(m).compose(r)
+            # 1/f'(r) = r' / (f(r))', known below t^m.  f(r) - t has no
+            # constant term, so its product with that is exact through t^m.
+            inv = r.derivative() * fr.derivative().invert()
+            r = _series(r.poly - (fr.poly - _T) * inv.poly, m)
+        return r
 
     # -- comparison ------------------------------------------------------
 
@@ -198,21 +234,19 @@ class SSeries:
         return (
             isinstance(other, SSeries)
             and self.trunc_order == other.trunc_order
-            and self.coeffs == other.coeffs
+            and self.poly == other.poly
         )
 
     def __hash__(self) -> int:
-        return hash((self.coeffs, self.trunc_order))
+        return hash((self.poly, self.trunc_order))
 
     def agrees_with(self, other: "SSeries") -> bool:
         """Equality of the common prefix, ignoring truncation mismatch."""
         n = min(self.trunc_order, other.trunc_order)
-        return all(self.coeff(k) == other.coeff(k) for k in range(n + 1))
+        return self.poly.truncate(n) == other.poly.truncate(n)
 
     def __str__(self) -> str:
-        from .poly import render_poly
-
-        return render_poly(Poly(self.coeffs), var="t") + f" + O(t^{self.trunc_order + 1})"
+        return render_poly(self.poly, var="t") + f" + O(t^{self.trunc_order + 1})"
 
     def __repr__(self) -> str:
         return f"SSeries({str(self)!r})"
@@ -354,15 +388,18 @@ def _exp_neg_xt(trunc: int) -> PSeries:
 def pseries_exp(u: PSeries) -> PSeries:
     """exp of a polynomial-coefficient series with zero constant coefficient.
 
-    Since ord_t(u) >= 1, u^k contributes nothing below t^k and the sum
-    over k <= trunc_order is exact.
+    E = exp(u) solves E' = u' E, so n E_n = sum_{1 <= k <= n} k u_k E_(n-k):
+    O(N^2) polynomial products, exact through the truncation order.
     """
     if not u.coeff(0).is_zero():
         raise ValueError("series exponential requires zero constant coefficient")
     n = u.trunc_order
-    out = PSeries.one(n)
-    power = PSeries.one(n)
-    for k in range(1, n + 1):
-        power = power * u
-        out = out + power.scale(Rat(1, factorial(k)))
-    return out
+    ku = [u.coeff(k).scale(k) for k in range(n + 1)]
+    out = [Poly.one()]
+    for m in range(1, n + 1):
+        acc = Poly()
+        for k in range(1, m + 1):
+            if not ku[k].is_zero():
+                acc = acc + ku[k] * out[m - k]
+        out.append(acc.scale(Rat(1, m)))
+    return PSeries(out, n)
