@@ -216,6 +216,58 @@ def test_negative_sizes_are_usage_errors(capsys, argv):
         assert out.out == "" and "must be nonnegative" in out.err
 
 
+# Every CLI document, byte for byte: (golden stem, argv, exit code).  Each
+# invocation runs with --format text and --format json; the golden file is
+# <stem>.txt or <stem>.json.
+GOLDEN_CASES = [
+    ("apply_J_x2", ("apply", "J", "x^2"), 0),
+    ("apply_series_x3", ("apply", "series(t^2 - 1/3*t^3)", "x^3"), 0),
+    ("d_expand_Delta_N4", ("d-expand", "Delta", "-N", "4"), 0),
+    ("d_expand_X_N3_strict", ("d-expand", "X", "-N", "3", "--strict"), 3),
+    ("expand_xd_J_N4", ("expand-xd", "J", "-N", "4"), 0),
+    ("expand_xb_J_Delta_N3", ("expand-xb", "J", "--basis", "Delta", "-N", "3"), 0),
+    ("expand_xb_DX_D_N3", ("expand-xb", "D X", "--basis", "D", "-N", "3"), 0),
+    ("expand_xb_J_series_N3", ("expand-xb", "J", "--basis", "series:t+t^2", "-N", "3"), 0),
+    ("check_dx_J", ("check-dx", "J", "--t", "-1..2", "-n", "12"), 0),
+    ("check_dx_E1_strict", ("check-dx", "E(1)", "--t", "-6..2", "-n", "12", "--strict"), 0),
+    ("expand_dx_E1", ("expand-dx", "E(1)", "--t", "-10..0", "-n", "14", "--slack", "3"), 0),
+    ("expand_dx_J_not_dx", ("expand-dx", "J"), 0),
+    ("expand_dx_J_not_dx_strict", ("expand-dx", "J", "--strict"), 3),
+    ("normal_order_DX_2_2", ("normal-order", "DX", "2", "2"), 0),
+    ("normal_order_DX_0_0", ("normal-order", "DX", "0", "0"), 0),
+    ("normal_order_XD_2_2", ("normal-order", "XD", "2", "2"), 0),
+    ("normal_order_XD_3_1", ("normal-order", "XD", "3", "1"), 0),
+    ("umbral_sequences_Delta_N3", ("umbral", "--delta", "Delta", "--what", "sequences", "-N", "3"), 0),
+    ("umbral_op_xd_Delta_N4", ("umbral", "--delta", "Delta", "--what", "op-xd", "-N", "4"), 0),
+    ("umbral_op_dx_Delta_N4", ("umbral", "--delta", "Delta", "--what", "op-dx", "-N", "4"), 0),
+    ("umbral_op_dx_2t_N4", ("umbral", "--delta", "series:2*t", "--what", "op-dx", "-N", "4"), 0),
+    ("umbral_op_dx_2t_N4_strict",
+     ("umbral", "--delta", "series:2*t", "--what", "op-dx", "-N", "4", "--strict"), 3),
+    ("umbral_shift_xd_Delta_N4", ("umbral", "--delta", "Delta", "--what", "shift-xd", "-N", "4"), 0),
+    ("umbral_shift_dx_Delta_N4", ("umbral", "--delta", "Delta", "--what", "shift-dx", "-N", "4"), 0),
+    ("umbral_shift_dx_series_N3",
+     ("umbral", "--delta", "series:t+t^2", "--what", "shift-dx", "-N", "3"), 0),
+    ("umbral_inverse_Delta_N4", ("umbral", "--delta", "Delta", "--what", "inverse", "-N", "4"), 0),
+    ("umbral_inverse_D", ("umbral", "--delta", "D", "--what", "inverse", "--budget", "6"), 0),
+    ("counterexample_2", ("counterexample", "2"), 0),
+    ("counterexample_5", ("counterexample", "5"), 0),
+    ("reorder_t2_x2_XD", ("reorder", "--series", "t^2", "--poly", "x^2"), 0),
+    ("reorder_series_cubic_DX",
+     ("reorder", "--series", "t - 1/3*t^3", "--poly", "x^3 + 1", "--direction", "pX_fD_to_DX"), 0),
+    ("reorder_zero_poly", ("reorder", "--series", "t", "--poly", "0"), 0),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("stem, argv, code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_cli_golden(capsys, stem, argv, code, fmt):
+    got = run(capsys, *argv, "--format", fmt)
+    golden = GOLDEN / f"{stem}.{'json' if fmt == 'json' else 'txt'}"
+    assert got == (code, golden.read_text(), "")
+    if fmt == "json":
+        check_schema(json.loads(got[1]))
+
+
 def test_zero_window_still_reports_window_too_small(capsys):
     code, out, err = run(capsys, "check-dx", "J", "-n", "0", "--slack", "3")
     assert code == 4 and out == "" and "cannot support slack" in err
