@@ -4,6 +4,10 @@ One subcommand per engine.  Operators are written in the expression DSL
 (see ``opcalc --help`` for the grammar).  Output is human text by default
 or JSON with ``--format json`` (env OPCALC_FORMAT sets the default).
 
+Each handler returns ``(doc, text, code)``: the JSON document, its text
+form and the exit code.  ``main`` prints one of the two, chosen by
+``--format``; nothing else prints a document.
+
 Exit codes: 0 success; 2 parse error; 3 negative verdict under --strict
 (non-polynomial diagonal, missing DX-expansion, failed invariance);
 4 certificate or truncation failures.
@@ -13,13 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import __version__
 from .dsl import parse_operator, render_operator
 from .dx import (
-    DXExpansion,
     all_polynomial,
     counterexample_S,
     dx_check,
@@ -29,8 +33,8 @@ from .dx import (
 from .errors import NotDX, NotDXEligible, OpcalcError, ParseError
 from .expansions import divided_power_basis, render_expansion, xb_expand, xd_expand
 from .normal_order import normal_order_DjXi, normal_order_XiDj, reorder_product
-from .operators import Delta, D, OpTable, shift_invariance_check, d_expand
-from .poly import parse_poly, render_poly
+from .operators import Delta, D, OpTable, SeriesInD, shift_invariance_check, d_expand
+from .poly import Poly, parse_poly, render_poly
 from .series import SSeries
 from .umbral import (
     DeltaOp,
@@ -67,13 +71,6 @@ def _strict_exit(args) -> int:
     return 3 if args.strict else 0
 
 
-def _emit(args, doc: dict, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(doc))
-    else:
-        print(text)
-
-
 def _size(text: str) -> int:
     """argparse type of every size argument: a nonnegative integer."""
     try:
@@ -93,87 +90,100 @@ def _parse_trange(s: str) -> tuple:
         raise ParseError(f"bad t range {s!r}, expected MIN..MAX") from None
 
 
+def _degree(p: Poly) -> int:
+    """deg p, with 0 for the zero polynomial."""
+    return 0 if p.is_zero() else int(p.degree)
+
+
+def _series_spec(spec: str, what: str) -> Poly:
+    """The t-polynomial of a 'series:<tpoly>' spec; D and Delta are the caller's."""
+    if not spec.startswith("series:"):
+        raise ParseError(f"unknown {what} {spec!r}; use D, Delta, or series:<tpoly>")
+    return parse_poly(spec[len("series:"):], var="t")
+
+
 def _basis_for(spec: str, order: int):
     if spec == "D":
-        return divided_power_basis(D(), order, tag="D")
-    if spec == "Delta":
-        return divided_power_basis(Delta(), order, tag="Delta")
-    if spec.startswith("series:"):
-        tpoly = parse_poly(spec[len("series:"):], var="t")
-        trunc = max(int(tpoly.degree), 0) if not tpoly.is_zero() else 0
-        from .operators import SeriesInD
-
-        op = SeriesInD(SSeries.from_poly(tpoly, trunc), exact=True)
-        return divided_power_basis(op, order, tag=spec)
-    raise ParseError(f"unknown basis {spec!r}; use D, Delta, or series:<tpoly>")
+        B = D()
+    elif spec == "Delta":
+        B = Delta()
+    else:
+        tpoly = _series_spec(spec, "basis")
+        B = SeriesInD(SSeries.from_poly(tpoly, _degree(tpoly)), exact=True)
+    return divided_power_basis(B, order, tag=spec)
 
 
 def _delta_for(spec: str, budget: int) -> DeltaOp:
     if spec == "D":
-        return delta_from_series(SSeries.t(budget))
-    if spec == "Delta":
-        return delta_from_series(SSeries.exp_t(budget) - SSeries.one(budget))
-    if spec.startswith("series:"):
-        tpoly = parse_poly(spec[len("series:"):], var="t")
-        return delta_from_series(SSeries.from_poly(tpoly, budget))
-    raise ParseError(f"unknown delta operator {spec!r}; use D, Delta, or series:<tpoly>")
+        f = SSeries.t(budget)
+    elif spec == "Delta":
+        f = SSeries.exp_t(budget) - SSeries.one(budget)
+    else:
+        f = SSeries.from_poly(_series_spec(spec, "delta operator"), budget)
+    return delta_from_series(f)
 
 
 def _series_str(f: SSeries) -> str:
     return render_poly(f.poly, var="D")
 
 
-def _dx_doc(expansion: DXExpansion) -> dict:
-    return {
-        "kind": "dx-expansion",
-        "verdict": "dx",
-        "trunc_k": expansion.trunc_k,
-        "terms": [
-            {
-                "k": k,
-                "series_in_D": [str(c) for c in f.coeffs],
-                "trunc": f.trunc_order,
-            }
+def _expansion(expansion, kind: str = "xd-expansion") -> tuple:
+    """The document of an XDExpansion, in D or in a basis; ``kind`` names which."""
+    doc = {
+        "kind": kind,
+        "basis": expansion.basis_tag,
+        "order": expansion.trunc_order,
+        "terms": [str(t) for t in expansion.terms],
+    }
+    return doc, render_expansion(expansion), 0
+
+
+def _dx(args, build) -> tuple:
+    """The DX document of ``build()``, or the not-dx verdict if it refuses."""
+    doc = {"kind": "dx-expansion"}
+    try:
+        expansion = build()
+    except (NotDX, NotDXEligible) as err:
+        doc.update(verdict="not-dx", reason=str(err))
+        return doc, f"no DX-expansion: {err}", _strict_exit(args)
+    doc.update(
+        verdict="dx",
+        trunc_k=expansion.trunc_k,
+        terms=[
+            {"k": k, "series_in_D": [str(c) for c in f.coeffs], "trunc": f.trunc_order}
             for k, f in enumerate(expansion.terms)
         ],
-        "complete": expansion.complete,
-        "validated_degree": expansion.validated_degree,
-    }
-
-
-def _dx_text(expansion: DXExpansion) -> str:
-    lines = []
-    for k, f in enumerate(expansion.terms):
-        if f.is_zero_prefix() and k > 0:
-            continue
-        lines.append(f"X^{k}: {_series_str(f)}  (known to D^{f.trunc_order})")
+        complete=expansion.complete,
+        validated_degree=expansion.validated_degree,
+    )
+    lines = [
+        f"X^{k}: {_series_str(f)}  (known to D^{f.trunc_order})"
+        for k, f in enumerate(expansion.terms)
+        if k == 0 or not f.is_zero_prefix()
+    ]
     if expansion.validated_degree is not None:
         lines.append(f"validated on degrees <= {expansion.validated_degree}")
-    return "\n".join(lines)
+    return doc, "\n".join(lines), 0
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (doc, text, exit code)
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> tuple:
     Q = parse_operator(args.operator)
     p = parse_poly(args.poly)
     result = Q.apply(p)
-    _emit(
-        args,
-        {
-            "kind": "apply",
-            "operator": render_operator(Q),
-            "input": str(p),
-            "result": str(result),
-        },
-        str(result),
-    )
-    return 0
+    doc = {
+        "kind": "apply",
+        "operator": render_operator(Q),
+        "input": str(p),
+        "result": str(result),
+    }
+    return doc, str(result), 0
 
 
-def _cmd_d_expand(args) -> int:
+def _cmd_d_expand(args) -> tuple:
     Q = parse_operator(args.operator)
     series = d_expand(Q, args.order)
     invariant = shift_invariance_check(Q, args.order)
@@ -187,47 +197,29 @@ def _cmd_d_expand(args) -> int:
         f"a_k = [{', '.join(str(c) for c in series.coeffs)}]\n"
         f"shift_invariant (N={args.order}): {str(invariant).lower()}"
     )
-    _emit(args, doc, text)
-    return 0 if invariant else _strict_exit(args)
+    return doc, text, 0 if invariant else _strict_exit(args)
 
 
-def _cmd_expand_xd(args) -> int:
+def _cmd_expand_xd(args) -> tuple:
     Q = parse_operator(args.operator)
-    expansion = xd_expand(Q, args.order)
-    doc = {
-        "kind": "xd-expansion",
-        "basis": "D",
-        "order": args.order,
-        "terms": [str(t) for t in expansion.terms],
-    }
-    _emit(args, doc, render_expansion(expansion))
-    return 0
+    return _expansion(xd_expand(Q, args.order))
 
 
-def _cmd_expand_xb(args) -> int:
+def _cmd_expand_xb(args) -> tuple:
     Q = parse_operator(args.operator)
     basis = _basis_for(args.basis, args.order)
-    expansion = xb_expand(Q, basis, args.order)
-    doc = {
-        "kind": "xb-expansion",
-        "basis": expansion.basis_tag,
-        "order": args.order,
-        "terms": [str(t) for t in expansion.terms],
-    }
-    _emit(args, doc, render_expansion(expansion))
-    return 0
+    return _expansion(xb_expand(Q, basis, args.order), "xb-expansion")
 
 
-def _cmd_check_dx(args) -> int:
+def _cmd_check_dx(args) -> tuple:
     Q = parse_operator(args.operator)
-    t_min, t_max = args.trange
-    fits = dx_check(OpTable(Q), t_min, t_max, args.nmax, args.slack)
-    tail = observed_tail_bound(fits)
+    fits = dx_check(OpTable(Q), *args.trange, args.nmax, args.slack)
+    accepted = all_polynomial(fits)
     doc = {
         "kind": "dx-check",
         "fits": [f.to_json_dict() for f in fits],
-        "all_polynomial": all_polynomial(fits),
-        "observed_tail_bound": tail,
+        "all_polynomial": accepted,
+        "observed_tail_bound": observed_tail_bound(fits),
     }
     lines = []
     for f in fits:
@@ -238,127 +230,72 @@ def _cmd_check_dx(args) -> int:
         else:
             shown = ", ".join(str(s) for s in f.samples[:6])
             lines.append(f"t={f.t}: not_polynomial  (samples {shown}, ...)")
-    lines.append(f"all diagonals polynomial: {str(all_polynomial(fits)).lower()}")
-    _emit(args, doc, "\n".join(lines))
-    return 0 if all_polynomial(fits) else _strict_exit(args)
+    lines.append(f"all diagonals polynomial: {str(accepted).lower()}")
+    return doc, "\n".join(lines), 0 if accepted else _strict_exit(args)
 
 
-def _cmd_expand_dx(args) -> int:
+def _cmd_expand_dx(args) -> tuple:
     Q = parse_operator(args.operator)
-    t_min, t_max = args.trange
-    try:
-        expansion = dx_construct(OpTable(Q), t_min, t_max, args.nmax, args.slack)
-    except NotDX as err:
-        _emit(
-            args,
-            {"kind": "dx-expansion", "verdict": "not-dx", "reason": str(err)},
-            f"no DX-expansion: {err}",
-        )
-        return _strict_exit(args)
-    _emit(args, _dx_doc(expansion), _dx_text(expansion))
-    return 0
+    return _dx(args, lambda: dx_construct(OpTable(Q), *args.trange, args.nmax, args.slack))
 
 
-def _cmd_normal_order(args) -> int:
+def _cmd_normal_order(args) -> tuple:
+    # The result puts the input's second letter first: (coef, first, second) powers.
+    if args.word == "DX":
+        word = {"form": "DX", "d": args.a, "x": args.b}
+        terms, first, second = normal_order_DjXi(args.a, args.b), "x", "d"
+    else:
+        word = {"form": "XD", "x": args.a, "d": args.b}
+        terms, first, second = normal_order_XiDj(args.a, args.b), "d", "x"
+
     def _pow(letter: str, p: int) -> str:
+        letter = letter.upper()
         return letter if p == 1 else f"{letter}^{p}"
 
-    def _piece(c, first: str, second: str) -> str:
-        body = " ".join(s for s in (first, second) if s) or "I"
+    def _piece(c, p: int, q: int) -> str:
+        body = " ".join(_pow(l, e) for l, e in ((first, p), (second, q)) if e) or "I"
         return body if c == 1 else f"{c} * {body}"
 
-    if args.word == "DX":
-        d_pow, x_pow = args.a, args.b
-        terms = normal_order_DjXi(d_pow, x_pow)
-        word = {"form": "DX", "d": d_pow, "x": x_pow}
-        rendered = [{"coef": str(c), "x_pow": xp, "d_pow": dp} for c, xp, dp in terms]
-        text = " + ".join(
-            _piece(c, _pow("X", xp) if xp else "", _pow("D", dp) if dp else "")
-            for c, xp, dp in terms
-        )
-    else:
-        x_pow, d_pow = args.a, args.b
-        terms = normal_order_XiDj(x_pow, d_pow)
-        word = {"form": "XD", "x": x_pow, "d": d_pow}
-        rendered = [{"coef": str(c), "d_pow": dp, "x_pow": xp} for c, dp, xp in terms]
-        text = " + ".join(
-            _piece(c, _pow("D", dp) if dp else "", _pow("X", xp) if xp else "")
-            for c, dp, xp in terms
-        )
-    _emit(args, {"kind": "normal-order", "word": word, "terms": rendered}, text)
-    return 0
+    rendered = [{"coef": str(c), f"{first}_pow": p, f"{second}_pow": q} for c, p, q in terms]
+    text = " + ".join(_piece(c, p, q) for c, p, q in terms)
+    return {"kind": "normal-order", "word": word, "terms": rendered}, text, 0
 
 
-def _cmd_umbral(args) -> int:
+def _cmd_umbral(args) -> tuple:
     P = _delta_for(args.delta, args.budget)
     N = args.order
-    what = args.what
-    if what == "sequences":
-        divided, conjugate = sequences(P, N)
-        doc = {
-            "kind": "umbral-sequences",
-            "order": N,
-            "divided": [str(p) for p in divided.polys],
-            "conjugate": [str(p) for p in conjugate.polys],
-        }
-        text = "divided:   [{}]\nconjugate: [{}]".format(
-            ", ".join(str(p) for p in divided.polys),
-            ", ".join(str(p) for p in conjugate.polys),
-        )
-        _emit(args, doc, text)
-        return 0
-    if what == "op-xd":
-        expansion = umbral_op_xd(P, N)
-        doc = {
-            "kind": "xd-expansion",
-            "basis": "D",
-            "order": N,
-            "terms": [str(t) for t in expansion.terms],
-        }
-        _emit(args, doc, render_expansion(expansion))
-        return 0
-    if what == "op-dx":
-        try:
-            expansion = umbral_op_dx(P, N)
-        except NotDXEligible as err:
-            _emit(
-                args,
-                {"kind": "dx-expansion", "verdict": "not-dx", "reason": str(err)},
-                f"no DX-expansion: {err}",
-            )
-            return _strict_exit(args)
-        _emit(args, _dx_doc(expansion), _dx_text(expansion))
-        return 0
-    if what == "shift-xd":
-        expansion = rodrigues_xd(P, N)
-        doc = {
-            "kind": "xd-expansion",
-            "basis": "D",
-            "order": N,
-            "terms": [str(t) for t in expansion.terms],
-        }
-        _emit(args, doc, render_expansion(expansion))
-        return 0
-    if what == "shift-dx":
-        expansion = umbral_shift_dx(P, N)
-        _emit(args, _dx_doc(expansion), _dx_text(expansion))
-        return 0
-    if what == "inverse":
+    if args.what == "op-xd":
+        return _expansion(umbral_op_xd(P, N))
+    if args.what == "shift-xd":
+        return _expansion(rodrigues_xd(P, N))
+    if args.what == "op-dx":
+        return _dx(args, lambda: umbral_op_dx(P, N))
+    if args.what == "shift-dx":
+        return _dx(args, lambda: umbral_shift_dx(P, N))
+    if args.what == "inverse":
         R = delta_inverse(P)
         doc = {
             "kind": "umbral-inverse",
             "symbol_in_t": [str(c) for c in R.f.coeffs],
             "trunc": R.f.trunc_order,
         }
-        _emit(args, doc, render_poly(R.f.poly, var="t"))
-        return 0
-    raise ParseError(f"unknown umbral action {what!r}")
+        return doc, render_poly(R.f.poly, var="t"), 0
+    # "sequences", the one action left among the parser's choices
+    divided, conjugate = sequences(P, N)
+    doc = {
+        "kind": "umbral-sequences",
+        "order": N,
+        "divided": [str(p) for p in divided.polys],
+        "conjugate": [str(p) for p in conjugate.polys],
+    }
+    text = "divided:   [{}]\nconjugate: [{}]".format(
+        ", ".join(doc["divided"]), ", ".join(doc["conjugate"])
+    )
+    return doc, text, 0
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args) -> tuple:
     n = args.n
-    import math
-
     s = counterexample_S(n)
     bound = math.factorial(n) ** 2
     holds = s >= bound
@@ -370,33 +307,24 @@ def _cmd_counterexample(args) -> int:
         "bound_holds": holds,
     }
     text = f"S({n}) = {s}, ({n}!)^2 = {bound}, bound {'holds' if holds else 'FAILS'}"
-    _emit(args, doc, text)
-    return 0
+    return doc, text, 0
 
 
-def _cmd_reorder(args) -> int:
+def _cmd_reorder(args) -> tuple:
     tpoly = parse_poly(args.series, var="t")
     p = parse_poly(args.poly)
-    trunc = max(int(tpoly.degree), 0) if not tpoly.is_zero() else 0
-    deg = 0 if p.is_zero() else int(p.degree)
-    f = SSeries.from_poly(tpoly, max(trunc, deg))
+    f = SSeries.from_poly(tpoly, max(_degree(tpoly), _degree(p)))
     form = reorder_product(f, p, args.direction)
-    if form.direction == "XD":
-        pairs = [
-            {"poly_in_X": str(a), "series_in_D": _series_str(g)} for a, g in form.pairs
-        ]
-        text = " + ".join(f"({a})*({_series_str(g)})" for a, g in form.pairs)
-    else:
-        pairs = [
-            {"series_in_D": _series_str(g), "poly_in_X": str(a)} for g, a in form.pairs
-        ]
-        text = " + ".join(f"({_series_str(g)})*({a})" for g, a in form.pairs)
-    _emit(
-        args,
-        {"kind": "reorder", "direction": form.direction, "pairs": pairs},
-        text or "0",
-    )
-    return 0
+
+    def _side(v) -> tuple:
+        if isinstance(v, SSeries):
+            return "series_in_D", _series_str(v)
+        return "poly_in_X", str(v)
+
+    # Each pair keeps the form's order: (poly, series) for XD, (series, poly) for DX.
+    pairs = [dict(map(_side, pair)) for pair in form.pairs]
+    text = " + ".join("*".join(f"({s})" for s in pair.values()) for pair in pairs)
+    return {"kind": "reorder", "direction": form.direction, "pairs": pairs}, text or "0", 0
 
 
 # ----------------------------------------------------------------------
@@ -513,13 +441,15 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_trange(list(argv)))
     try:
-        return args.func(args)
+        doc, text, code = args.func(args)
     except ParseError as err:
         print(f"opcalc: parse error: {err}", file=sys.stderr)
         return 2
     except OpcalcError as err:
         print(f"opcalc: {err}", file=sys.stderr)
         return 4
+    print(json.dumps(doc) if args.format == "json" else text)
+    return code
 
 
 if __name__ == "__main__":

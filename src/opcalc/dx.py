@@ -17,9 +17,9 @@ q_u(n) = sum_t p_t(n) r_(u-t)(n+t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, factorial
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .errors import (
     MissingVanishingCertificate,
@@ -29,7 +29,7 @@ from .errors import (
     TruncationError,
     WindowTooSmall,
 )
-from .operators import OpExpr, OpTable
+from .operators import OpTable, SeriesInD
 from .poly import NEG_INF, Poly, Rat, falling_factorial, rat
 from .series import POS_INF, PSeries, SSeries, _exp_neg_xt
 
@@ -100,17 +100,6 @@ def dx_convergence_check(orders: Sequence, strict: bool = True) -> ConvergenceVe
 # The expansion container
 
 
-SourceLike = Union[OpExpr, Callable[[Poly], Poly], None]
-
-
-def _apply_source(source: SourceLike, p: Poly) -> Poly:
-    if isinstance(source, OpExpr):
-        return source.apply(p)
-    if callable(source):
-        return source(p)
-    raise ValueError("expansion carries no source operator")
-
-
 @dataclass(frozen=True)
 class DXExpansion:
     """Coefficient data for sum_k f_k(D) X^k, k = 0..trunc_k.
@@ -120,7 +109,8 @@ class DXExpansion:
     truncation of an infinite sum and a convergence certificate governs
     what evaluations are trustworthy.  Each f_k carries its own
     t-truncation; ``series_order`` is the order through which every term
-    is known.
+    is known.  ``source`` is the row table of the operator the expansion
+    stands for, when one is known.
     """
 
     terms: tuple
@@ -129,7 +119,7 @@ class DXExpansion:
     complete: bool
     certificate: ConvergenceCertificate | None = None
     validated_degree: int | None = None
-    source: SourceLike = None
+    source: OpTable | None = None
 
     def term(self, k: int) -> SSeries:
         return self.terms[k]
@@ -139,15 +129,7 @@ class DXExpansion:
         return [(k, f.order()) for k, f in enumerate(self.terms)]
 
     def with_terms(self, terms) -> "DXExpansion":
-        return DXExpansion(
-            tuple(terms),
-            self.trunc_k,
-            self.series_order,
-            self.complete,
-            self.certificate,
-            self.validated_degree,
-            self.source,
-        )
+        return replace(self, terms=tuple(terms))
 
 
 def dx_apply(expansion: DXExpansion, p: Poly, allow_window: bool = False) -> Poly:
@@ -191,15 +173,7 @@ def dx_apply(expansion: DXExpansion, p: Poly, allow_window: bool = False) -> Pol
                 f"term k={k} truncated at order {fk.trunc_order}, degree {n} "
                 f"needs order {need}"
             )
-        xkp = Poly.monomial(k) * p
-        q = xkp
-        acc = Poly()
-        for j in range(need + 1):
-            c = fk.coeff(j)
-            if c != 0:
-                acc = acc + q.scale(c)
-            q = q.derivative()
-        out = out + acc
+        out = out + SeriesInD(fk, exact=True).apply(Poly.monomial(k) * p)
     return out
 
 
@@ -400,7 +374,7 @@ def dx_construct(
             "finite", tuple((k, f.order()) for k, f in enumerate(terms)), K
         ),
         validated_degree=min(n_max - slack, -t_min),
-        source=table.source,
+        source=table,
     )
     for n in range(expansion.validated_degree + 1):
         got = dx_apply(expansion, Poly.monomial(n))
@@ -472,7 +446,7 @@ def polynomial_diagonals(fits: Sequence) -> dict:
 def gf_consistency_check(expansion: DXExpansion, N: int) -> bool:
     """Check both closed forms of Q exp(xt)/exp(xt) against the operator.
 
-    The direct side applies the expansion's source operator to the
+    The direct side reads the expansion's source rows Q x^j against the
     exponential kernel coefficients.  The first formula side sums
     C(n,k) f_n^(k)(t) x^(n-k) over the stored terms; the second uses the
     transposed coefficients a_n(x) with polynomial derivatives,
@@ -488,13 +462,10 @@ def gf_consistency_check(expansion: DXExpansion, N: int) -> bool:
                 f"term k={k} truncated at {f.trunc_order}; order-{N} check "
                 f"needs {N + k}"
             )
+    if expansion.source is None:
+        raise ValueError("expansion carries no source operator")
     direct_rows = PSeries(
-        tuple(
-            _apply_source(expansion.source, Poly.monomial(j)).scale(
-                Rat(1, factorial(j))
-            )
-            for j in range(N + 1)
-        ),
+        tuple(expansion.source.row(j).scale(Rat(1, factorial(j))) for j in range(N + 1)),
         N,
     )
     direct = direct_rows * _exp_neg_xt(N)

@@ -62,13 +62,28 @@ class XDExpansion:
         return all(t.is_zero() for t in self.terms)
 
 
+def _degree_reducing_images(B: OpExpr, M: int) -> list:
+    """B x^1..B x^M, or NotDegreeReducing unless B kills constants and
+    drops the degree of each of these monomials by exactly one."""
+    if not B.apply(Poly.one()).is_zero():
+        raise NotDegreeReducing("operator does not annihilate constants", degree=0)
+    images = []
+    for n in range(1, M + 1):
+        img = B.apply(Poly.monomial(n))
+        if img.degree != n - 1:
+            raise NotDegreeReducing(
+                f"deg(B x^{n}) = {img.degree}, expected {n - 1}", degree=n
+            )
+        images.append(img)
+    return images
+
+
 def degree_reducing_check(B: OpExpr, N: int) -> bool:
     """True iff B drops degree by exactly one on x^1..x^N and kills constants."""
-    if not B.apply(Poly.one()).is_zero():
+    try:
+        _degree_reducing_images(B, N)
+    except NotDegreeReducing:
         return False
-    for n in range(1, N + 1):
-        if B.apply(Poly.monomial(n)).degree != n - 1:
-            return False
     return True
 
 
@@ -80,16 +95,7 @@ def divided_power_basis(B: OpExpr, N: int, tag: str | None = None) -> DividedPow
     coefficient; B x^j having degree exactly j-1 makes the system
     triangular with nonzero pivots, so the solution is exact and unique.
     """
-    if not B.apply(Poly.one()).is_zero():
-        raise NotDegreeReducing("operator does not annihilate constants", degree=0)
-    images = []
-    for n in range(1, N + 2):
-        img = B.apply(Poly.monomial(n))
-        if img.degree != n - 1:
-            raise NotDegreeReducing(
-                f"deg(B x^{n}) = {img.degree}, expected {n - 1}", degree=n
-            )
-        images.append(img)
+    images = _degree_reducing_images(B, N + 1)
     polys = [Poly.one()]
     for n in range(1, N + 1):
         target = polys[n - 1]

@@ -33,19 +33,14 @@ def normal_order_DjXi(j: int, i: int) -> list:
 
 
 def normal_order_XiDj(i: int, j: int) -> list:
-    """DX-normal form of the word X^i D^j as (coef, d_pow, x_pow) triples."""
-    if j < 0 or i < 0:
-        raise ValueError("word exponents must be nonnegative")
-    out = []
-    for k in range(min(i, j) + 1):
-        coef = (
-            Rat((-1) ** k)
-            * falling_factorial_at(i, k)
-            * falling_factorial_at(j, k)
-            / factorial(k)
-        )
-        out.append((coef, j - k, i - k))
-    return out
+    """DX-normal form of the word X^i D^j as (coef, d_pow, x_pow) triples.
+
+    The rule of D^j X^i with the letters swapped and the k-th term signed
+    (-1)^k, where k = i - x_pow.
+    """
+    return [
+        (c if (i - xp) % 2 == 0 else -c, dp, xp) for c, xp, dp in normal_order_DjXi(j, i)
+    ]
 
 
 def word_apply(d_pow: int, x_pow: int, p: Poly, d_on_left: bool) -> Poly:

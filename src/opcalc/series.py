@@ -284,10 +284,6 @@ class PSeries:
     def one(cls, trunc: int) -> "PSeries":
         return cls((Poly.one(),), trunc)
 
-    @classmethod
-    def from_scalar(cls, f: SSeries) -> "PSeries":
-        return cls(tuple(Poly.const(c) for c in f.coeffs), f.trunc_order)
-
     def coeff(self, k: int) -> Poly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]

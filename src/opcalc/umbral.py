@@ -26,7 +26,7 @@ from .expansions import (
     basis_change,
     divided_power_basis,
 )
-from .operators import Compose, D, OpExpr, SeriesInD, X
+from .operators import Compose, D, OpExpr, OpTable, SeriesInD, X
 from .poly import NEG_INF, Poly, Rat
 from .series import PSeries, SSeries, pseries_exp
 
@@ -173,7 +173,7 @@ def umbral_op_dx(P: DeltaOp, K: int) -> DXExpansion:
         series_order=min(f.trunc_order for f in terms),
         complete=False,
         certificate=verdict.certificate,
-        source=lambda p: umbral_op_apply(P, p),
+        source=OpTable(lambda n: umbral_op_apply(P, Poly.monomial(n))),
     )
 
 
@@ -249,7 +249,7 @@ def umbral_shift_dx(P: DeltaOp, N: int) -> DXExpansion:
         certificate=ConvergenceCertificate(
             "finite", tuple((k, f.order()) for k, f in enumerate((f0, f1))), 1
         ),
-        source=lambda p: umbral_shift_apply(P, p),
+        source=OpTable(lambda n: umbral_shift_apply(P, Poly.monomial(n))),
     )
 
 

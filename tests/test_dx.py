@@ -348,6 +348,14 @@ def test_gf_consistency_constructed():
     assert gf_consistency_check(EX, 4)
 
 
+def test_gf_consistency_oracle_table():
+    # An oracle n -> Q x^n is read through the table's rows, like an expression.
+    oracle = OpTable(lambda n: Poly.monomial(n).shift(1))
+    E = dx_construct(oracle, -10, 0, 14, 3)
+    assert gf_consistency_check(E, 6)
+    assert E.source is oracle
+
+
 def test_gf_consistency_detects_corruption():
     E = dx_construct(OpTable(Shift(1)), -10, 0, 14, 3)
     coeffs = list(E.term(0).coeffs)
