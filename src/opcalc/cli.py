@@ -8,9 +8,9 @@ Each handler returns ``(doc, text, code)``: the JSON document, its text
 form and the exit code.  ``main`` prints one of the two, chosen by
 ``--format``; nothing else prints a document.
 
-Exit codes: 0 success; 2 parse error; 3 negative verdict under --strict
-(non-polynomial diagonal, missing DX-expansion, failed invariance);
-4 certificate or truncation failures.
+Exit codes: 0 success; 2 parse or usage error; 3 negative verdict under
+--strict (non-polynomial diagonal, missing DX-expansion, failed
+invariance); 4 certificate or truncation failures.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ operator expression grammar:
   atom   := D | X | I | J | Delta | E(a) | Eval0
           | sub(poly) | series(tpoly) | poly(poly)
 examples:
-  "D X - X D"            the commutator (the identity operator)
-  "E(1/2)"               translation by 1/2
-  "series(t^2 - t^3/3)"  an exact series in D
-  "2 * J Delta"          scalar times a composition
+  "D X - X D"              the commutator (the identity operator)
+  "E(1/2)"                 translation by 1/2
+  "series(t^2 - 1/3*t^3)"  an exact series in D
+  "2 * J Delta"            scalar times a composition
 """
 
 
@@ -83,11 +83,14 @@ def _size(text: str) -> int:
 
 
 def _parse_trange(s: str) -> tuple:
+    """argparse type of --t: MIN..MAX with MIN <= MAX."""
     try:
-        lo, hi = s.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = map(int, s.split("..", 1))
     except ValueError:
-        raise ParseError(f"bad t range {s!r}, expected MIN..MAX") from None
+        raise argparse.ArgumentTypeError(f"bad t range {s!r}, expected MIN..MAX") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty t range {s!r}: MIN exceeds MAX")
+    return lo, hi
 
 
 def _degree(p: Poly) -> int:
@@ -235,6 +238,9 @@ def _cmd_check_dx(args) -> tuple:
 
 
 def _cmd_expand_dx(args) -> tuple:
+    lo, hi = args.trange
+    if not lo <= 0 <= hi:
+        raise ParseError(f"t range {lo}..{hi} must contain 0 to construct a DX-expansion")
     Q = parse_operator(args.operator)
     return _dx(args, lambda: dx_construct(OpTable(Q), *args.trange, args.nmax, args.slack))
 

@@ -18,6 +18,7 @@ q_u(n) = sum_t p_t(n) r_(u-t)(n+t).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from math import comb, factorial
 from typing import Mapping, Sequence
 
@@ -29,9 +30,10 @@ from .errors import (
     TruncationError,
     WindowTooSmall,
 )
+from .expansions import _xd_terms
 from .operators import OpTable, SeriesInD
-from .poly import NEG_INF, Poly, Rat, falling_factorial, rat
-from .series import POS_INF, PSeries, SSeries, _exp_neg_xt
+from .poly import NEG_INF, Poly, Rat, combine, coordinates, falling_factorial, rat
+from .series import POS_INF, PSeries, SSeries
 
 # ----------------------------------------------------------------------
 # Convergence in the discrete topology
@@ -256,11 +258,7 @@ def fit_diagonal(t: int, samples: Sequence, n_max: int, slack: int) -> DiagonalF
         return DiagonalFit(t, samples, "not_polynomial", None, max_order, n_max, slack)
     if fitted == 0:
         return DiagonalFit(t, samples, "identically_zero", Poly(), None, n_max, slack)
-    poly = Poly()
-    for i in range(fitted):
-        c = levels[i][0]
-        if c != 0:
-            poly = poly + binomial_poly(i).scale(c)
+    poly = combine([level[0] for level in levels[:fitted]], binomial_poly)
     for n, s in enumerate(samples):
         if poly.eval(n) != s:
             raise AssertionError(
@@ -309,20 +307,6 @@ def _diagonal_basis_poly(t: int, k: int) -> Poly:
     return out
 
 
-def _solve_in_diagonal_basis(q: Poly, t: int) -> dict:
-    """Coefficients a_k with q(n) = sum_k a_k (n+t+k)_k, by back-substitution."""
-    coeffs: dict[int, Rat] = {}
-    residue = q
-    for k in range(int(q.degree), -1, -1):
-        c = residue.coeff(k)
-        if c != 0:
-            coeffs[k] = c
-            residue = residue - _diagonal_basis_poly(t, k).scale(c)
-    if not residue.is_zero():
-        raise AssertionError("monic triangular solve left a residue (internal error)")
-    return coeffs
-
-
 def dx_construct(
     table: OpTable, t_min: int, t_max: int, n_max: int, slack: int
 ) -> DXExpansion:
@@ -349,8 +333,9 @@ def dx_construct(
         if fit.poly is None or fit.poly.is_zero():
             continue
         t = fit.t
-        solved = _solve_in_diagonal_basis(fit.poly, t)
-        for k, c in solved.items():
+        for k, c in enumerate(coordinates(fit.poly, partial(_diagonal_basis_poly, t))):
+            if c == 0:
+                continue
             if t < 0 and k < -t:
                 raise NegativePowerViolation(
                     f"diagonal t={t} produced D^{k} X^{t + k} with negative X power"
@@ -464,11 +449,7 @@ def gf_consistency_check(expansion: DXExpansion, N: int) -> bool:
             )
     if expansion.source is None:
         raise ValueError("expansion carries no source operator")
-    direct_rows = PSeries(
-        tuple(expansion.source.row(j).scale(Rat(1, factorial(j))) for j in range(N + 1)),
-        N,
-    )
-    direct = direct_rows * _exp_neg_xt(N)
+    direct = PSeries(_xd_terms(expansion.source.row, N), N)
 
     # sum over terms with series derivatives
     acc = [Poly() for _ in range(N + 1)]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import NotDegreeReducing, TruncationError
 from .operators import D, Delta, OpExpr
-from .poly import NEG_INF, Poly, Rat, RatLike, rat
+from .poly import NEG_INF, Poly, Rat, RatLike, combine, coordinates
 from .series import PSeries, _exp_neg_xt
 
 
@@ -91,42 +91,29 @@ def divided_power_basis(B: OpExpr, N: int, tag: str | None = None) -> DividedPow
     """Construct the divided power sequence of B up to index N.
 
     Checks that B is degree-reducing through degree N+1, then solves
-    B b_n = b_(n-1) with b_n(0) = 0 by back-substitution from the top
-    coefficient; B x^j having degree exactly j-1 makes the system
-    triangular with nonzero pivots, so the solution is exact and unique.
+    B b_n = b_(n-1) with b_n(0) = 0 as the coordinates of b_(n-1) in the
+    images B x^1, B x^2, ...; B x^j having degree exactly j-1 makes that
+    basis triangular, so the solution is exact and unique.
     """
     images = _degree_reducing_images(B, N + 1)
     polys = [Poly.one()]
-    for n in range(1, N + 1):
-        target = polys[n - 1]
-        coeffs = [Rat(0)] * (n + 1)
-        residue = target
-        for j in range(n, 0, -1):
-            pivot = images[j - 1].coeff(j - 1)
-            c = residue.coeff(j - 1) / pivot
-            coeffs[j] = c
-            if c != 0:
-                residue = residue - images[j - 1].scale(c)
-        if not residue.is_zero():
-            raise NotDegreeReducing(
-                f"no divided power of index {n} exists", degree=n
-            )
-        polys.append(Poly(coeffs))
+    for _ in range(N):
+        polys.append(Poly([0, *coordinates(polys[-1], images.__getitem__)]))
     if tag is None:
         tag = {D(): "D", Delta(): "Delta"}.get(B, "B")
     return DividedPowerBasis(B, tuple(polys), PSeries(tuple(polys), N), tag)
 
 
+def _xd_terms(row, N: int) -> tuple:
+    """a_0..a_N of sum_n a_n(x) D^n for the operator with rows Q x^j = row(j):
+    the t^n coefficients of (sum_j row(j) t^j / j!) exp(-xt)."""
+    rows = PSeries(tuple(row(j).scale(Rat(1, factorial(j))) for j in range(N + 1)), N)
+    return (rows * _exp_neg_xt(N)).coeffs
+
+
 def xd_expand(Q: OpExpr, N: int) -> XDExpansion:
     """Expansion of Q in X and D: a_n(x) from Q exp(xt) times exp(-xt)."""
-    rows = PSeries(
-        tuple(
-            Q.apply(Poly.monomial(k)).scale(Rat(1, factorial(k))) for k in range(N + 1)
-        ),
-        N,
-    )
-    product = rows * _exp_neg_xt(N)
-    return XDExpansion(product.coeffs, N, D(), "D")
+    return XDExpansion(_xd_terms(lambda k: Q.apply(Poly.monomial(k)), N), N, D(), "D")
 
 
 def xb_expand(Q: OpExpr, basis: DividedPowerBasis, N: int) -> XDExpansion:
@@ -176,21 +163,11 @@ def basis_change(p_or_coeffs, basis: DividedPowerBasis, direction: str):
         p = p_or_coeffs
         if not isinstance(p, Poly):
             raise TypeError("to_basis expects a Poly")
-        if p.is_zero():
-            return []
-        deg = int(p.degree)
-        if deg > basis.trunc_order:
+        if p.degree > basis.trunc_order:
             raise TruncationError(
-                f"basis truncated at {basis.trunc_order} cannot express degree {deg}"
+                f"basis truncated at {basis.trunc_order} cannot express degree {p.degree}"
             )
-        coords = [Rat(0)] * (deg + 1)
-        residue = p
-        for m in range(deg, -1, -1):
-            c = residue.coeff(m) / basis.poly(m).coeff(m)
-            coords[m] = c
-            if c != 0:
-                residue = residue - basis.poly(m).scale(c)
-        return coords
+        return coordinates(p, basis.poly)
     if direction == "to_monomial":
         coeffs: Sequence[RatLike] = p_or_coeffs
         if len(coeffs) > basis.trunc_order + 1:
@@ -198,12 +175,7 @@ def basis_change(p_or_coeffs, basis: DividedPowerBasis, direction: str):
                 f"basis truncated at {basis.trunc_order} has no index "
                 f"{len(coeffs) - 1}"
             )
-        out = Poly()
-        for n, c in enumerate(coeffs):
-            c = rat(c)
-            if c != 0:
-                out = out + basis.poly(n).scale(c)
-        return out
+        return combine(coeffs, basis.poly)
     raise ValueError(f"unknown direction {direction!r}")
 
 

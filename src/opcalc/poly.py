@@ -21,6 +21,11 @@ overflows half a digit.  One big-int product then carries every
 coefficient; adding ``2^(B-1)`` to each digit makes all digits
 nonnegative for unpacking.  A factor with a single nonzero term (a
 constant or a monomial) takes a scalar path instead.
+
+Every change of coordinates against a triangular basis goes through two
+helpers: ``coordinates`` solves p = sum_k c_k basis(k) by
+back-substitution, and ``combine`` forms the sum from the c_k.  Both call
+``basis`` only at a nonzero coefficient, so a basis can be built lazily.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from array import array
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import ParseError
 
@@ -328,6 +333,37 @@ class Poly:
     @classmethod
     def parse(cls, text: str, var: str = "x") -> "Poly":
         return parse_poly(text, var=var)
+
+
+def coordinates(p: Poly, basis: Callable[[int], Poly]) -> list:
+    """c_0..c_deg(p) with p = sum_k c_k basis(k), by back-substitution.
+
+    ``basis(k)`` must have degree exactly k wherever it is called, which
+    makes the solve exact and unique; it is called only at a nonzero
+    coefficient.  A basis of higher degree there leaves a residue and is
+    refused.
+    """
+    coords = [Rat(0)] * len(p.nums)
+    residue = p
+    for k in range(len(p.nums) - 1, -1, -1):
+        r = residue.coeff(k)
+        if r != 0:
+            b = basis(k)
+            coords[k] = c = r / b.coeff(k)
+            residue = residue - b.scale(c)
+    if not residue.is_zero():
+        raise ValueError(f"back-substitution left the residue {residue}: not a triangular basis")
+    return coords
+
+
+def combine(coeffs: Sequence[RatLike], basis: Callable[[int], Poly]) -> Poly:
+    """sum_k c_k basis(k), calling ``basis`` only where c_k is nonzero."""
+    out = Poly()
+    for k, c in enumerate(coeffs):
+        c = rat(c)
+        if c != 0:
+            out = out + basis(k).scale(c)
+    return out
 
 
 def falling_factorial(m: int) -> Poly:

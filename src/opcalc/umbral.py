@@ -3,7 +3,9 @@
 A delta operator is a shift-invariant degree reducer, always f(D) with a
 series symbol of order exactly 1.  Attached to it are three polynomial
 families: the divided powers b_n (P b_n = b_(n-1), b_n(0) = delta_n0),
-the basic family n! b_n, and the conjugate family from exp(x f(t)).
+the basic family n! b_n, and the conjugate family.  Both generating
+functions are exponentials: sum b_n t^n = exp(x q(t)) with q the
+compositional inverse of f, and the conjugates come from exp(x f(t)).
 
 The umbral operator sends the basic family to the monomials, which on
 the monomial side is the linear extension of x^k -> conjugate_k.  The
@@ -20,14 +22,9 @@ from math import factorial
 
 from .dx import ConvergenceCertificate, DXExpansion, dx_convergence_check
 from .errors import NotDelta, NotDXEligible, TruncationError
-from .expansions import (
-    DividedPowerBasis,
-    XDExpansion,
-    basis_change,
-    divided_power_basis,
-)
+from .expansions import XDExpansion
 from .operators import Compose, D, OpExpr, OpTable, SeriesInD, X
-from .poly import NEG_INF, Poly, Rat
+from .poly import NEG_INF, Poly, Rat, combine, coordinates
 from .series import PSeries, SSeries, pseries_exp
 
 
@@ -73,13 +70,20 @@ def delta_from_series(f: SSeries) -> DeltaOp:
     return DeltaOp(f)
 
 
-def _divided_basis(P: DeltaOp, N: int) -> DividedPowerBasis:
+def _exp_x(g: SSeries, N: int) -> tuple:
+    """The t^0..t^N coefficients of exp(x g(t)), for g of order at least 1."""
+    xg = PSeries(tuple(Poly.monomial(1, g.coeff(j)) for j in range(N + 1)), N)
+    return pseries_exp(xg).coeffs
+
+
+def _divided_powers(P: DeltaOp, N: int) -> tuple:
+    """b_0..b_N, the coefficients of exp(x q(t)) with q the inverse symbol."""
     if P.trunc_order < N + 1:
         raise TruncationError(
             f"symbol truncated at {P.trunc_order} cannot certify divided powers "
             f"to index {N}"
         )
-    return divided_power_basis(P.as_op(), N)
+    return _exp_x(P.f.truncate(N + 1).reverse(), N)
 
 
 def conjugate_polys(P: DeltaOp, N: int) -> tuple:
@@ -88,23 +92,19 @@ def conjugate_polys(P: DeltaOp, N: int) -> tuple:
         raise TruncationError(
             f"symbol truncated at {P.trunc_order} cannot produce conjugates to {N}"
         )
-    xf = PSeries(
-        tuple(Poly.monomial(1, P.f.coeff(j)) for j in range(N + 1)), N
-    )
-    expo = pseries_exp(xf)
-    return tuple(expo.coeff(k).scale(factorial(k)) for k in range(N + 1))
+    return tuple(c.scale(factorial(k)) for k, c in enumerate(_exp_x(P.f, N)))
 
 
 def sequences(P: DeltaOp, N: int) -> tuple:
     """The divided power and conjugate sequences of P, up to index N."""
-    divided = PolySequence("divided_power", _divided_basis(P, N).polys, P)
+    divided = PolySequence("divided_power", _divided_powers(P, N), P)
     conjugate = PolySequence("conjugate", conjugate_polys(P, N), P)
     return divided, conjugate
 
 
 def basic_sequence(P: DeltaOp, N: int) -> PolySequence:
     """The basic family n! b_n(x)."""
-    divided = _divided_basis(P, N).polys
+    divided = _divided_powers(P, N)
     return PolySequence(
         "basic", tuple(b.scale(factorial(n)) for n, b in enumerate(divided)), P
     )
@@ -115,13 +115,7 @@ def umbral_op_apply(P: DeltaOp, p: Poly) -> Poly:
     deg = p.degree
     if deg is NEG_INF:
         return Poly()
-    conj = conjugate_polys(P, int(deg))
-    out = Poly()
-    for k in range(int(deg) + 1):
-        c = p.coeff(k)
-        if c != 0:
-            out = out + conj[k].scale(c)
-    return out
+    return combine(p.coeffs, conjugate_polys(P, int(deg)).__getitem__)
 
 
 def umbral_op_xd(P: DeltaOp, N: int) -> XDExpansion:
@@ -134,9 +128,7 @@ def umbral_op_xd(P: DeltaOp, N: int) -> XDExpansion:
         raise TruncationError(
             f"symbol truncated at {P.trunc_order} cannot expand to order {N}"
         )
-    g = P.f - SSeries.t(P.f.trunc_order)
-    xg = PSeries(tuple(Poly.monomial(1, g.coeff(j)) for j in range(N + 1)), N)
-    return XDExpansion(pseries_exp(xg).coeffs, N, D(), "D")
+    return XDExpansion(_exp_x(P.f - SSeries.t(P.f.trunc_order), N), N, D(), "D")
 
 
 def umbral_op_dx(P: DeltaOp, K: int) -> DXExpansion:
@@ -187,13 +179,9 @@ def umbral_shift_apply(P: DeltaOp, p: Poly) -> Poly:
     deg = p.degree
     if deg is NEG_INF:
         return Poly()
-    basis = _divided_basis(P, int(deg) + 1)
-    coords = basis_change(p, basis, "to_basis")
-    out = Poly()
-    for n, c in enumerate(coords):
-        if c != 0:
-            out = out + basis.poly(n + 1).scale(c * (n + 1))
-    return out
+    b = _divided_powers(P, int(deg) + 1)
+    coords = coordinates(p, b.__getitem__)
+    return combine([c * (n + 1) for n, c in enumerate(coords)], lambda n: b[n + 1])
 
 
 def _normalized(P: DeltaOp) -> tuple:

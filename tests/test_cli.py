@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from opcalc.cli import main
+from opcalc.cli import GRAMMAR_HELP, main
+from opcalc.dsl import parse_operator
 
 try:
     import jsonschema
@@ -266,6 +268,36 @@ def test_cli_golden(capsys, stem, argv, code, fmt):
     assert got == (code, golden.read_text(), "")
     if fmt == "json":
         check_schema(json.loads(got[1]))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check-dx", "J", "--t", "3..1"), "empty t range"),
+        (("check-dx", "J", "--t", "nope"), "bad t range"),
+    ],
+)
+def test_bad_t_range_is_a_usage_error(capsys, argv, message):
+    for fmt in ("text", "json"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", fmt])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and message in out.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_expand_dx_refuses_a_t_range_without_zero(capsys, fmt):
+    code, out, err = run(capsys, "expand-dx", "E(1)", "--t", "1..3", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "must contain 0" in err
+
+
+def test_grammar_help_examples_parse():
+    examples = re.findall(r'^  "(.+?)" ', GRAMMAR_HELP, re.MULTILINE)
+    assert len(examples) == 4
+    for text in examples:
+        parse_operator(text)
 
 
 def test_zero_window_still_reports_window_too_small(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+import sympy
 
 from opcalc import (
     D,
@@ -12,6 +13,8 @@ from opcalc import (
     NotDegreeReducing,
     Poly,
     PolyInX,
+    SeriesInD,
+    SSeries,
     Substitute,
     TruncationError,
     X,
@@ -70,6 +73,49 @@ def test_divided_power_defining_equations():
                 assert B.apply(b) == basis.poly(n - 1)
         # generating function holds the same polynomials
         assert basis.genfun.coeffs == basis.polys
+
+
+SX = sympy.Symbol("x")
+SERIES_BASIS = (Fraction(1), Fraction(-1, 2), Fraction(1, 3))  # t - t^2/2 + t^3/3
+
+
+def sympy_rat(c: Fraction) -> sympy.Rational:
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def sympy_divided_powers(apply_B, N: int) -> list:
+    """b_0..b_N solved with sympy from B b_n = b_(n-1), b_n(0) = 0, b_0 = 1."""
+    out = [sympy.Integer(1)]
+    for n in range(1, N + 1):
+        cs = sympy.symbols(f"c1:{n + 1}")
+        b = sum(c * SX**j for j, c in enumerate(cs, 1))
+        eqs = sympy.Poly(apply_B(b) - out[-1], SX).all_coeffs()
+        (sol,) = sympy.linsolve(eqs, cs)
+        out.append(sympy.expand(b.subs(dict(zip(cs, sol)))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "B, apply_B",
+    [
+        (D(), lambda p: sympy.diff(p, SX)),
+        (Delta(), lambda p: sympy.expand(p.subs(SX, SX + 1) - p)),
+        (2 * D(), lambda p: 2 * sympy.diff(p, SX)),
+        (
+            SeriesInD(SSeries.from_poly(Poly([0, *SERIES_BASIS]), 3), exact=True),
+            lambda p: sum(
+                sympy_rat(c) * sympy.diff(p, SX, k) for k, c in enumerate(SERIES_BASIS, 1)
+            ),
+        ),
+    ],
+    ids=["D", "Delta", "2D", "series"],
+)
+def test_divided_powers_match_sympy(B, apply_B):
+    N = 7
+    basis = divided_power_basis(B, N)
+    for b, want in zip(basis.polys, sympy_divided_powers(apply_B, N), strict=True):
+        got = sum(sympy_rat(c) * SX**k for k, c in enumerate(b.coeffs))
+        assert sympy.expand(got - want) == 0
 
 
 def test_degree_reducing_check():

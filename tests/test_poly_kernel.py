@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opcalc import Poly
+from opcalc.poly import combine, coordinates
 
 X = sympy.Symbol("x")
 
@@ -197,3 +198,62 @@ def test_kronecker_rational_operands():
     p = Poly([Fraction(-1, 3), 0, Fraction(5, 7), Fraction(2**70, 3)])
     q = Poly([Fraction(3, 2**66), Fraction(-9, 4)])
     check(p * q, to_sympy(p) * to_sympy(q))
+
+
+# ----------------------------------------------------------------------
+# Change of basis against a triangular basis: coordinates and combine.
+
+nonzero = st.one_of(small, big).filter(bool)
+
+
+@st.composite
+def triangular(draw, max_size=8):
+    """(basis list, coordinates): basis[k] of degree exactly k with a
+    non-monic pivot, and coordinates of which about a third are zero."""
+    n = draw(st.integers(1, max_size))
+    basis = [
+        Poly([*draw(st.lists(coeff, min_size=k, max_size=k)), draw(nonzero)]) for k in range(n)
+    ]
+    coords = draw(st.lists(st.one_of(st.just(Fraction(0)), small, big), min_size=n, max_size=n))
+    return basis, coords
+
+
+@SETTINGS
+@given(triangular())
+def test_coordinates_and_combine_round_trip(case):
+    basis, coords = case
+    p = combine(coords, basis.__getitem__)
+    check(p, sum((to_rational(c) * to_sympy(b) for c, b in zip(coords, basis)), to_sympy(Poly())))
+    got = coordinates(p, basis.__getitem__)
+    assert len(got) == len(p.nums)
+    assert got + [0] * (len(coords) - len(got)) == coords
+
+
+@SETTINGS
+@given(triangular())
+def test_coordinates_of_a_basis_element_is_a_unit_vector(case):
+    basis, _ = case
+    for k, b in enumerate(basis):
+        assert coordinates(b, basis.__getitem__) == [0] * k + [1]
+
+
+@SETTINGS
+@given(triangular())
+def test_basis_is_called_only_at_nonzero_coefficients(case):
+    basis, coords = case
+    for solve, arg in ((combine, coords), (coordinates, combine(coords, basis.__getitem__))):
+        calls = []
+        solve(arg, lambda k: calls.append(k) or basis[k])
+        assert sorted(calls) == [k for k, c in enumerate(coords) if c != 0]
+
+
+def test_coordinates_of_zero_is_empty():
+    assert coordinates(Poly(), lambda k: 1 / 0) == []
+    assert combine([0, 0], lambda k: 1 / 0) == Poly()
+
+
+def test_coordinates_refuses_a_basis_that_is_not_triangular():
+    # basis(k) = x^k + x^(k+1) has degree k + 1: each elimination adds a
+    # term above x^k that no later step removes.
+    with pytest.raises(ValueError, match="not a triangular basis"):
+        coordinates(Poly.parse("x^2 + x"), lambda k: Poly.monomial(k) + Poly.monomial(k + 1))

@@ -59,6 +59,13 @@ def delta_geometric():
     )
 
 
+def delta_exp2t():
+    # (e^(2t) - 1)/2 = sum_(k >= 1) 2^(k-1) t^k / k!
+    return delta_from_series(
+        SSeries(tuple(Fraction(2**k, 2 * factorial(k)) if k else 0 for k in range(BUDGET + 1)))
+    )
+
+
 def test_delta_gate():
     assert delta_D().slope == 1
     with pytest.raises(NotDelta):
@@ -94,6 +101,23 @@ def test_sequences_of_2D():
     divided, conjugate = sequences(delta_2D(), 2)
     assert divided.polys == (Poly.one(), Poly.parse("1/2*x"), Poly.parse("1/8*x^2"))
     assert conjugate.poly(1) == Poly.parse("2*x")
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        delta_Delta(),
+        delta_exp2t(),
+        delta_from_series(SSeries((0, 1, Fraction(1, 2), Fraction(1, 3)), BUDGET)),
+    ],
+    ids=["Delta", "exp2t", "cubic"],
+)
+def test_divided_family_matches_the_generic_solver(P):
+    N = 10
+    reference = divided_power_basis(P.as_op(), N).polys
+    assert sequences(P, N)[0].polys == reference
+    basic = tuple(b.scale(factorial(n)) for n, b in enumerate(reference))
+    assert basic_sequence(P, N).polys == basic
 
 
 def test_umbral_operator_of_D_is_identity():
