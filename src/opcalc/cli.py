@@ -59,6 +59,8 @@ operator expression grammar:
   factor := rational '*' factor | atom ('^' uint)? | '(' expr ')' ('^' uint)?
   atom   := D | X | I | J | Delta | E(a) | Eval0
           | sub(poly) | series(tpoly) | poly(poly)
+  poly   := ('+'|'-')? pterm (('+'|'-') pterm)*  in x; tpoly is the same in t
+  pterm  := rational ('*'? x ('^' uint)?)? | x ('^' uint)?
 examples:
   "D X - X D"              the commutator (the identity operator)
   "E(1/2)"                 translation by 1/2

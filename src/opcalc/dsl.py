@@ -5,15 +5,20 @@ to the nearest atom; a leading '-' negates the first term):
 
     expr   := '-'? term (('+'|'-') term)*
     term   := factor factor*
-    factor := rational '*' factor | atom ('^' uint)? | '(' expr ')'
+    factor := rational '*' factor | atom ('^' uint)? | '(' expr ')' ('^' uint)?
     atom   := 'D' | 'X' | 'I' | 'J' | 'Delta' | 'E' '(' rational ')'
             | 'Eval0' | 'sub' '(' poly ')' | 'series' '(' tpoly ')'
             | 'poly' '(' poly ')'
+    poly   := ('+'|'-')? pterm (('+'|'-') pterm)*
+    pterm  := rational ('*'? 'x' ('^' uint)?)? | 'x' ('^' uint)?
 
-``sub`` substitutes a polynomial in x, ``poly`` multiplies by one, and
-``series`` is a polynomial in t read as an exact series in D.  Rendering
-an expression produces text that reparses to an operator with the same
-action.
+``tpoly`` is ``poly`` with the variable 't'.  ``sub`` substitutes a
+polynomial in x, ``poly`` multiplies by one, and ``series`` is a
+polynomial in t read as an exact series in D.  Whitespace may separate
+any two tokens.  One `opcalc.poly.Scanner` reads the whole expression,
+atom bodies included, so error positions count from its start.
+Rendering an expression produces text that reparses to an operator with
+the same action.
 """
 
 from __future__ import annotations
@@ -35,98 +40,22 @@ from .operators import (
     Substitute,
     X,
 )
-from .poly import Rat, parse_poly, render_poly
+from .poly import Rat, Scanner, render_poly
 from .series import SSeries
 
 _ATOM_NAMES = ("D", "X", "I", "J", "Delta", "E", "Eval0", "sub", "series", "poly")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def error(self, expected) -> ParseError:
-        return ParseError(
-            f"at position {self.pos}: expected one of {', '.join(expected)}",
-            position=self.pos,
-            expected=expected,
-        )
-
-    def take(self, ch: str):
-        if self.peek() != ch:
-            raise self.error((ch,))
-        self.pos += 1
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalpha()
-            or (self.pos > start and self.text[self.pos].isdigit())
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error(("integer",))
-        return int(self.text[start : self.pos])
-
-    def rational(self, signed: bool = False) -> Rat:
-        self.skip_ws()
-        sign = 1
-        if signed and self.peek() == "-":
-            self.pos += 1
-            sign = -1
-        num = self.uint()
-        if self.peek() == "/":
-            self.pos += 1
-            den = self.uint()
-            return Rat(sign * num, den)
-        return Rat(sign * num)
-
-    def balanced(self) -> str:
-        """Consume up to the matching ')' (exclusive), tracking nesting."""
-        self.skip_ws()
-        start = self.pos
-        depth = 0
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                if depth == 0:
-                    return self.text[start : self.pos]
-                depth -= 1
-            self.pos += 1
-        raise self.error((")",))
-
-
 def parse_operator(text: str) -> OpExpr:
     if not text.strip():
         raise ParseError("empty operator expression", position=0, expected=("expr",))
-    sc = _Scanner(text)
+    sc = Scanner(text)
     expr = _parse_expr(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise sc.error(("end of input", "+", "-"))
+    sc.end()
     return expr
 
 
-def _parse_expr(sc: _Scanner) -> OpExpr:
+def _parse_expr(sc: Scanner) -> OpExpr:
     negate = False
     if sc.peek() == "-":
         sc.pos += 1
@@ -148,46 +77,39 @@ def _parse_expr(sc: _Scanner) -> OpExpr:
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
-def _starts_factor(sc: _Scanner) -> bool:
+def _starts_factor(sc: Scanner) -> bool:
     c = sc.peek()
     return c.isdigit() or c == "(" or c.isalpha()
 
 
-def _parse_term(sc: _Scanner) -> OpExpr:
+def _parse_term(sc: Scanner) -> OpExpr:
     factor = _parse_factor(sc)
     while _starts_factor(sc):
         factor = Compose(factor, _parse_factor(sc))
     return factor
 
 
-def _parse_factor(sc: _Scanner) -> OpExpr:
+def _parse_factor(sc: Scanner) -> OpExpr:
     c = sc.peek()
     if c.isdigit():
         coef = sc.rational()
-        sc.skip_ws()
-        if sc.peek() != "*":
-            raise sc.error(("*",))
-        sc.pos += 1
+        sc.take("*")
         return Scale(coef, _parse_factor(sc))
     if c == "(":
         sc.pos += 1
-        inner = _parse_expr(sc)
+        base = _parse_expr(sc)
         sc.take(")")
-        if sc.peek() == "^":
-            sc.pos += 1
-            return inner ** sc.uint()
-        return inner
-    if c.isalpha():
-        atom = _parse_atom(sc)
-        sc.skip_ws()
-        if sc.peek() == "^":
-            sc.pos += 1
-            return atom ** sc.uint()
-        return atom
-    raise sc.error(("operator atom", "rational", "("))
+    elif c.isalpha():
+        base = _parse_atom(sc)
+    else:
+        raise sc.error(("operator atom", "rational", "("))
+    if sc.peek() == "^":
+        sc.pos += 1
+        return base ** sc.uint()
+    return base
 
 
-def _parse_atom(sc: _Scanner) -> OpExpr:
+def _parse_atom(sc: Scanner) -> OpExpr:
     pos = sc.pos
     name = sc.ident()
     if name == "D":
@@ -207,23 +129,16 @@ def _parse_atom(sc: _Scanner) -> OpExpr:
         a = sc.rational(signed=True)
         sc.take(")")
         return Shift(a)
-    if name == "sub":
+    if name in ("sub", "poly", "series"):
         sc.take("(")
-        body = sc.balanced()
+        q = sc.poly("t" if name == "series" else "x")
         sc.take(")")
-        return Substitute(parse_poly(body, var="x"))
-    if name == "poly":
-        sc.take("(")
-        body = sc.balanced()
-        sc.take(")")
-        return PolyInX(parse_poly(body, var="x"))
-    if name == "series":
-        sc.take("(")
-        body = sc.balanced()
-        sc.take(")")
-        tpoly = parse_poly(body, var="t")
-        trunc = max(int(tpoly.degree), 0) if not tpoly.is_zero() else 0
-        return SeriesInD(SSeries.from_poly(tpoly, trunc), exact=True)
+        if name == "sub":
+            return Substitute(q)
+        if name == "poly":
+            return PolyInX(q)
+        trunc = 0 if q.is_zero() else int(q.degree)
+        return SeriesInD(SSeries.from_poly(q, trunc), exact=True)
     sc.pos = pos
     raise sc.error(_ATOM_NAMES)
 

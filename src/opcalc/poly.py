@@ -26,6 +26,9 @@ Every change of coordinates against a triangular basis goes through two
 helpers: ``coordinates`` solves p = sum_k c_k basis(k) by
 back-substitution, and ``combine`` forms the sum from the c_k.  Both call
 ``basis`` only at a nonzero coefficient, so a basis can be built lazily.
+
+``render_poly`` writes the text form and ``Scanner`` reads it; the same
+``Scanner`` reads the operator language of `opcalc.dsl`.
 """
 
 from __future__ import annotations
@@ -417,93 +420,122 @@ def render_poly(p: Poly, var: str = "x") -> str:
     return " ".join(parts)
 
 
-def parse_poly(text: str, var: str = "x") -> Poly:
-    """Parse the canonical polynomial text form (and harmless variants).
+class Scanner:
+    """A cursor over input text, shared by polynomials and `opcalc.dsl`.
 
-    Accepts signed terms like ``-1/2*x^3``, ``x``, ``+ 4``; the ``*``
-    between coefficient and variable is optional.
+    It is the one reader of whitespace, unsigned integers, rationals and
+    polynomials.  Whitespace may separate any two tokens, and every
+    `ParseError` carries its position in the whole text.
     """
-    s = text.strip()
-    if not s:
-        raise ParseError("empty polynomial", position=0, expected=("term",))
-    coeffs: dict[int, Rat] = {}
-    i = 0
-    n = len(s)
-    first = True
-    while i < n:
-        while i < n and s[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        sign = Rat(1)
-        if s[i] in "+-":
-            if s[i] == "-":
-                sign = Rat(-1)
-            i += 1
-            while i < n and s[i].isspace():
-                i += 1
-        elif not first:
-            raise ParseError(
-                f"expected '+' or '-' at position {i}", position=i, expected=("+", "-")
-            )
-        first = False
-        # optional coefficient
-        coef = Rat(1)
-        saw_coef = False
-        j = i
-        while j < n and s[j].isdigit():
-            j += 1
-        if j > i:
-            num = int(s[i:j])
-            i = j
-            den = 1
-            if i < n and s[i] == "/":
-                i += 1
-                j = i
-                while j < n and s[j].isdigit():
-                    j += 1
-                if j == i:
-                    raise ParseError(
-                        f"expected denominator at position {i}",
-                        position=i,
-                        expected=("integer",),
-                    )
-                den = int(s[i:j])
-                i = j
-            coef = Rat(num, den)
-            saw_coef = True
-            while i < n and s[i].isspace():
-                i += 1
-            if i < n and s[i] == "*":
-                i += 1
-                while i < n and s[i].isspace():
-                    i += 1
-        # optional variable part
-        exp = 0
-        if i < n and s[i : i + len(var)] == var:
-            i += len(var)
-            exp = 1
-            if i < n and s[i] == "^":
-                i += 1
-                j = i
-                while j < n and s[j].isdigit():
-                    j += 1
-                if j == i:
-                    raise ParseError(
-                        f"expected exponent at position {i}",
-                        position=i,
-                        expected=("integer",),
-                    )
-                exp = int(s[i:j])
-                i = j
-        elif not saw_coef:
-            raise ParseError(
-                f"expected coefficient or '{var}' at position {i}",
-                position=i,
-                expected=("coefficient", var),
-            )
-        coeffs[exp] = coeffs.get(exp, Rat(0)) + sign * coef
-    if not coeffs:
-        raise ParseError("empty polynomial", position=0, expected=("term",))
-    top = max(coeffs)
-    return Poly(tuple(coeffs.get(k, Rat(0)) for k in range(top + 1)))
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        """The next non-space character, or "" at the end."""
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def error(self, expected) -> ParseError:
+        what = expected[0] if len(expected) == 1 else f"one of {', '.join(expected)}"
+        return ParseError(
+            f"at position {self.pos}: expected {what}", position=self.pos, expected=expected
+        )
+
+    def take(self, ch: str):
+        if self.peek() != ch:
+            raise self.error((ch,))
+        self.pos += 1
+
+    def end(self):
+        if self.peek():
+            raise self.error(("end of input", "+", "-"))
+
+    def ident(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalpha()
+            or (self.pos > start and self.text[self.pos].isdigit())
+        ):
+            self.pos += 1
+        return self.text[start : self.pos]
+
+    def uint(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error(("integer",))
+        return int(self.text[start : self.pos])
+
+    def rational(self, signed: bool = False) -> Rat:
+        sign = 1
+        if signed and self.peek() == "-":
+            self.pos += 1
+            sign = -1
+        num = self.uint()
+        if self.peek() != "/":
+            return Rat(sign * num)
+        self.pos += 1
+        self.skip_ws()
+        start = self.pos
+        den = self.uint()
+        if not den:
+            self.pos = start
+            raise self.error(("nonzero denominator",))
+        return Rat(sign * num, den)
+
+    def poly(self, var: str) -> Poly:
+        """One ``poly`` in ``var``; the production is in `parse_poly`."""
+        coeffs: dict = {}
+        sign = self.peek()
+        while True:
+            if sign in ("+", "-"):
+                self.pos += 1
+            coef, exp = self._pterm(var)
+            coeffs[exp] = coeffs.get(exp, 0) + (-coef if sign == "-" else coef)
+            sign = self.peek()
+            if sign not in ("+", "-"):
+                return Poly(coeffs.get(k, 0) for k in range(max(coeffs) + 1))
+
+    def _pterm(self, var: str) -> tuple:
+        """(coefficient, exponent) of one ``pterm`` in ``var``."""
+        coef, expected = Rat(1), ("rational", var)
+        if self.peek().isdigit():
+            coef, expected = self.rational(), (var,)
+            if self.peek() == "*":
+                self.pos += 1
+                self.skip_ws()
+            elif not self.text.startswith(var, self.pos):
+                return coef, 0
+        if not self.text.startswith(var, self.pos):
+            raise self.error(expected)
+        self.pos += len(var)
+        if self.peek() == "^":
+            self.pos += 1
+            return coef, self.uint()
+        return coef, 1
+
+
+def parse_poly(text: str, var: str = "x") -> Poly:
+    """Parse a whole text as one polynomial in ``var``.
+
+    The production, shared with the ``sub``, ``poly`` and ``series`` atoms
+    of `opcalc.dsl` (``tpoly`` is ``poly`` in t)::
+
+        poly  := ('+'|'-')? pterm (('+'|'-') pterm)*
+        pterm := rational ('*'? var ('^' uint)?)? | var ('^' uint)?
+
+    Terms of equal exponent add up, so ``x + x`` is ``2*x``.
+    """
+    sc = Scanner(text)
+    p = sc.poly(var)
+    sc.end()
+    return p

@@ -2,15 +2,11 @@ import json
 import re
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from opcalc.cli import GRAMMAR_HELP, main
 from opcalc.dsl import parse_operator
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -25,8 +21,7 @@ def run(capsys, *argv):
 
 
 def check_schema(doc):
-    if jsonschema is not None:
-        jsonschema.validate(doc, SCHEMA)
+    jsonschema.validate(doc, SCHEMA)
 
 
 def test_apply(capsys):
@@ -291,6 +286,26 @@ def test_expand_dx_refuses_a_t_range_without_zero(capsys, fmt):
     code, out, err = run(capsys, "expand-dx", "E(1)", "--t", "1..3", "--format", fmt)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "must contain 0" in err
+
+
+ZERO_DENOMINATORS = [
+    ("apply", "D", "1/0"),
+    ("apply", "E(1/0)", "x"),
+    ("apply", "1/0*D", "x"),
+    ("apply", "sub(1/0*x)", "x"),
+    ("umbral", "--delta", "series:t+1/0*t^2"),
+    ("reorder", "--series=1/0", "--poly=x"),
+    ("expand-xb", "J", "--basis", "series:t+1/0*t^2"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", ZERO_DENOMINATORS, ids=" ".join)
+def test_zero_denominator_is_a_parse_error(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("opcalc: parse error: ")
+    assert "nonzero denominator" in err
 
 
 def test_grammar_help_examples_parse():

@@ -101,6 +101,13 @@ def test_parse_errors_carry_position_and_expectation():
         parse_operator("")
     with pytest.raises(ParseError):
         parse_operator("D X)")
+    # Errors inside an atom body count from the start of the expression.
+    with pytest.raises(ParseError) as exc:
+        parse_operator("sub(x^)")
+    assert exc.value.position == 6 and exc.value.expected == ("integer",)
+    with pytest.raises(ParseError) as exc:
+        parse_operator("D poly(x + )")
+    assert exc.value.position == 11 and "x" in exc.value.expected
 
 
 def test_series_budget_is_exact():

@@ -15,8 +15,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcalc import Poly
-from opcalc.poly import combine, coordinates
+from opcalc import ParseError, Poly, PolyInX, parse_operator
+from opcalc.poly import combine, coordinates, parse_poly, render_poly
 
 X = sympy.Symbol("x")
 
@@ -121,9 +121,31 @@ def test_equal_polys_from_different_paths_hash_alike(p, q, r):
     assert left == right and hash(left) == hash(right)
     assert Poly(p.coeffs) == p and hash(Poly(p.coeffs)) == hash(p)
     assert Poly.parse(str(p)) == p
+    assert Poly.parse(render_poly(p, var="t"), var="t") == p
+    assert parse_operator(f"poly({p})") == PolyInX(p)
+    assert parse_operator(f"series({render_poly(p, var='t')})").f.poly == p
     zero = p - p
     assert zero == Poly() and hash(zero) == hash(Poly())
     assert (zero.nums, zero.den) == ((), 1)
+
+
+# One grammar: a text is a polynomial on its own exactly when it is one as
+# the body of the poly(...) atom.
+BOTH_ACCEPT = ["3x", "x^2+x", "x + x", "x ^ 2", "-1/2*x"]
+BOTH_REFUSE = ["", "x^", "1/ x", "y + 1", "--x", "x x", "2**x", "1/0"]
+
+
+@pytest.mark.parametrize("text", BOTH_ACCEPT)
+def test_poly_text_and_poly_atom_accept_alike(text):
+    assert parse_operator(f"poly({text})") == PolyInX(parse_poly(text))
+
+
+@pytest.mark.parametrize("text", BOTH_REFUSE)
+def test_poly_text_and_poly_atom_refuse_alike(text):
+    with pytest.raises(ParseError):
+        parse_poly(text)
+    with pytest.raises(ParseError):
+        parse_operator(f"poly({text})")
 
 
 def test_constructor_is_canonical():
