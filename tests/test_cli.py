@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -318,3 +319,44 @@ def test_grammar_help_examples_parse():
 def test_zero_window_still_reports_window_too_small(capsys):
     code, out, err = run(capsys, "check-dx", "J", "-n", "0", "--slack", "3")
     assert code == 4 and out == "" and "cannot support slack" in err
+
+
+# argparse's help and error text, byte for byte: (golden stem, argv, exit
+# code).  Each case exits through SystemExit and prints to one stream, stdout
+# when the code is 0 and stderr otherwise; golden/usage/<stem>.txt holds that
+# stream.  argparse lays text out differently from one Python minor version to
+# the next, so the files hold only on the minor that generated them.
+USAGE = GOLDEN / "usage"
+USAGE_PYTHON = (3, 11)
+VERBS = (
+    "apply", "d-expand", "expand-xd", "expand-xb", "check-dx", "expand-dx",
+    "normal-order", "umbral", "counterexample", "reorder",
+)
+USAGE_CASES = [
+    ("help", ("--help",), 0),
+    *((f"help_{verb}", (verb, "--help"), 0) for verb in VERBS),
+    ("version", ("--version",), 0),
+    ("no_arguments", (), 2),
+    ("unknown_verb", ("frobnicate", "D"), 2),
+    ("apply_unrecognized_argument", ("apply", "D", "x", "--bogus"), 2),
+    ("apply_missing_positional", ("apply",), 2),
+    ("umbral_bad_choice", ("umbral", "--what", "nope"), 2),
+    ("check_dx_bad_range", ("check-dx", "J", "--t", "3..1"), 2),
+    ("check_dx_trailing_t", ("check-dx", "J", "--t"), 2),
+]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != USAGE_PYTHON,
+    reason="argparse help layout changes between Python minor versions; "
+    "the usage goldens were generated on Python 3.11",
+)
+@pytest.mark.parametrize("stem, argv, code", USAGE_CASES, ids=[c[0] for c in USAGE_CASES])
+def test_usage_golden(capsys, monkeypatch, stem, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("OPCALC_FORMAT", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    text = (USAGE / f"{stem}.txt").read_text()
+    assert (exc.value.code, out.out, out.err) == ((0, text, "") if code == 0 else (code, "", text))
