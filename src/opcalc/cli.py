@@ -336,9 +336,67 @@ def _cmd_reorder(args) -> tuple:
 
 
 # ----------------------------------------------------------------------
+# The command table: verb -> (handler, help, arguments), in --help order.
+# An argument is (flags, add_argument keywords).  Every verb also takes
+# COMMON, whose --format default build_parser reads from OPCALC_FORMAT.
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+FORMATS = ("text", "json")
+COMMON = (
+    _arg("--format", choices=FORMATS, help="output format (env OPCALC_FORMAT sets the default)"),
+    _arg("--strict", action="store_true", help="exit 3 on negative verdicts instead of 0"),
+)
+OPERATOR = _arg("operator")
+ORDER = _arg("-N", "--order", type=_size, default=DEFAULT_ORDER)
+WINDOW = (
+    _arg("--t", dest="trange", type=_parse_trange, default=(-DEFAULT_NMAX, DEFAULT_NMAX),
+         metavar="MIN..MAX"),
+    _arg("-n", "--nmax", type=_size, default=DEFAULT_NMAX),
+    _arg("--slack", type=_size, default=DEFAULT_SLACK),
+)
+SERIES_SPEC = "D, Delta, or series:<tpoly>"
+
+COMMANDS = {
+    "apply": (_cmd_apply, "apply an operator to a polynomial", (OPERATOR, _arg("poly"))),
+    "d-expand": (_cmd_d_expand, "classical expansion in D", (OPERATOR, ORDER)),
+    "expand-xd": (_cmd_expand_xd, "expansion with X left of D", (OPERATOR, ORDER)),
+    "expand-xb": (_cmd_expand_xb, "expansion over a divided-power basis",
+                  (OPERATOR, _arg("--basis", default="Delta", help=SERIES_SPEC), ORDER)),
+    "check-dx": (_cmd_check_dx, "diagonal polynomiality verdicts", (OPERATOR, *WINDOW)),
+    "expand-dx": (_cmd_expand_dx, "construct the DX-expansion", (OPERATOR, *WINDOW)),
+    "normal-order": (_cmd_normal_order, "rewrite a word between orderings", (
+        _arg("word", choices=("DX", "XD"), help="DX: input D^a X^b; XD: input X^a D^b"),
+        _arg("a", type=_size),
+        _arg("b", type=_size),
+    )),
+    "umbral": (_cmd_umbral, "delta-operator apparatus", (
+        _arg("--delta", default="Delta", help=SERIES_SPEC),
+        _arg("--what", choices=("sequences", "op-xd", "op-dx", "shift-xd", "shift-dx", "inverse"),
+             default="sequences"),
+        ORDER,
+        _arg("--budget", type=_size, default=DEFAULT_BUDGET, help="series truncation"),
+    )),
+    "counterexample": (_cmd_counterexample, "two-variable closure counterexample sum",
+                       (_arg("n", type=_size),)),
+    "reorder": (_cmd_reorder, "commute a series in D past a polynomial in X", (
+        _arg("--series", required=True, help="polynomial in t"),
+        _arg("--poly", required=True, help="polynomial in x"),
+        _arg("--direction", choices=("fD_pX_to_XD", "pX_fD_to_DX"), default="fD_pX_to_XD"),
+    )),
+}
+
+
+def build_parser(verb=None) -> argparse.ArgumentParser:
+    """The parser of one call whose first argument is ``verb``.
+
+    A known verb gets only its own subcommand; anything else (None, an
+    option, an unknown word) gets all of them, for --help and argparse's
+    invalid-choice message.
+    """
     parser = argparse.ArgumentParser(
         prog="opcalc",
         description="Exact operator calculus on polynomials.",
@@ -346,86 +404,19 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"opcalc {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default=os.environ.get("OPCALC_FORMAT", "text"),
-        help="output format (env OPCALC_FORMAT sets the default)",
+    known = verb in COMMANDS
+    # Usage printed after a known verb, say for an unrecognized argument,
+    # still lists every verb, as the full parser's does.
+    sub = parser.add_subparsers(
+        dest="verb", required=True, metavar="{" + ",".join(COMMANDS) + "}" if known else None
     )
-    common.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 3 on negative verdicts instead of 0",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    sp = sub.add_parser("apply", parents=[common], help="apply an operator to a polynomial")
-    sp.add_argument("operator")
-    sp.add_argument("poly")
-    sp.set_defaults(func=_cmd_apply)
-
-    sp = sub.add_parser("d-expand", parents=[common], help="classical expansion in D")
-    sp.add_argument("operator")
-    sp.add_argument("-N", "--order", type=_size, default=DEFAULT_ORDER)
-    sp.set_defaults(func=_cmd_d_expand)
-
-    sp = sub.add_parser("expand-xd", parents=[common], help="expansion with X left of D")
-    sp.add_argument("operator")
-    sp.add_argument("-N", "--order", type=_size, default=DEFAULT_ORDER)
-    sp.set_defaults(func=_cmd_expand_xd)
-
-    sp = sub.add_parser("expand-xb", parents=[common], help="expansion over a divided-power basis")
-    sp.add_argument("operator")
-    sp.add_argument("--basis", default="Delta", help="D, Delta, or series:<tpoly>")
-    sp.add_argument("-N", "--order", type=_size, default=DEFAULT_ORDER)
-    sp.set_defaults(func=_cmd_expand_xb)
-
-    sp = sub.add_parser("check-dx", parents=[common], help="diagonal polynomiality verdicts")
-    sp.add_argument("operator")
-    sp.add_argument("--t", dest="trange", type=_parse_trange, default=(-DEFAULT_NMAX, DEFAULT_NMAX), metavar="MIN..MAX")
-    sp.add_argument("-n", "--nmax", type=_size, default=DEFAULT_NMAX)
-    sp.add_argument("--slack", type=_size, default=DEFAULT_SLACK)
-    sp.set_defaults(func=_cmd_check_dx)
-
-    sp = sub.add_parser("expand-dx", parents=[common], help="construct the DX-expansion")
-    sp.add_argument("operator")
-    sp.add_argument("--t", dest="trange", type=_parse_trange, default=(-DEFAULT_NMAX, DEFAULT_NMAX), metavar="MIN..MAX")
-    sp.add_argument("-n", "--nmax", type=_size, default=DEFAULT_NMAX)
-    sp.add_argument("--slack", type=_size, default=DEFAULT_SLACK)
-    sp.set_defaults(func=_cmd_expand_dx)
-
-    sp = sub.add_parser("normal-order", parents=[common], help="rewrite a word between orderings")
-    sp.add_argument("word", choices=("DX", "XD"), help="DX: input D^a X^b; XD: input X^a D^b")
-    sp.add_argument("a", type=_size)
-    sp.add_argument("b", type=_size)
-    sp.set_defaults(func=_cmd_normal_order)
-
-    sp = sub.add_parser("umbral", parents=[common], help="delta-operator apparatus")
-    sp.add_argument("--delta", default="Delta", help="D, Delta, or series:<tpoly>")
-    sp.add_argument(
-        "--what",
-        choices=("sequences", "op-xd", "op-dx", "shift-xd", "shift-dx", "inverse"),
-        default="sequences",
-    )
-    sp.add_argument("-N", "--order", type=_size, default=DEFAULT_ORDER)
-    sp.add_argument("--budget", type=_size, default=DEFAULT_BUDGET, help="series truncation")
-    sp.set_defaults(func=_cmd_umbral)
-
-    sp = sub.add_parser("counterexample", parents=[common], help="two-variable closure counterexample sum")
-    sp.add_argument("n", type=_size)
-    sp.set_defaults(func=_cmd_counterexample)
-
-    sp = sub.add_parser("reorder", parents=[common], help="commute a series in D past a polynomial in X")
-    sp.add_argument("--series", required=True, help="polynomial in t")
-    sp.add_argument("--poly", required=True, help="polynomial in x")
-    sp.add_argument(
-        "--direction",
-        choices=("fD_pX_to_XD", "pX_fD_to_DX"),
-        default="fD_pX_to_XD",
-    )
-    sp.set_defaults(func=_cmd_reorder)
-
+    fmt = os.environ.get("OPCALC_FORMAT", "text")
+    for name in (verb,) if known else COMMANDS:
+        handler, help_text, arguments = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        for flags, kwargs in COMMON + arguments:
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(func=handler, format=fmt)
     return parser
 
 
@@ -444,10 +435,9 @@ def _merge_trange(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_merge_trange(list(argv)))
+    argv = _merge_trange(sys.argv[1:] if argv is None else list(argv))
+    parser = build_parser(argv[0] if argv else None)
+    args = parser.parse_args(argv)
     try:
         doc, text, code = args.func(args)
     except ParseError as err:
