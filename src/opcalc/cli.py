@@ -4,6 +4,10 @@ One subcommand per engine.  Operators are written in the expression DSL
 (see ``opcalc --help`` for the grammar).  Output is human text by default
 or JSON with ``--format json`` (env OPCALC_FORMAT sets the default).
 
+One table, ``COMMANDS``, declares each verb once: its handler, its help
+and its arguments.  ``build_parser`` builds from it only the subcommand
+that a call names, or all of them when the call names none.
+
 Each handler returns ``(doc, text, code)``: the JSON document, its text
 form and the exit code.  ``main`` prints one of the two, chosen by
 ``--format``; nothing else prints a document.
@@ -34,7 +38,7 @@ from .errors import NotDX, NotDXEligible, OpcalcError, ParseError
 from .expansions import divided_power_basis, render_expansion, xb_expand, xd_expand
 from .normal_order import normal_order_DjXi, normal_order_XiDj, reorder_product
 from .operators import Delta, D, OpTable, SeriesInD, shift_invariance_check, d_expand
-from .poly import Poly, parse_poly, render_poly
+from .poly import Poly, Scanner, parse_poly, render_poly
 from .series import SSeries
 from .umbral import (
     DeltaOp,
@@ -51,6 +55,7 @@ DEFAULT_ORDER = 8
 DEFAULT_NMAX = 12
 DEFAULT_SLACK = 3
 DEFAULT_BUDGET = 24
+SERIES_SPEC = "D, Delta, or series:<tpoly>"
 
 GRAMMAR_HELP = """\
 operator expression grammar:
@@ -103,8 +108,11 @@ def _degree(p: Poly) -> int:
 def _series_spec(spec: str, what: str) -> Poly:
     """The t-polynomial of a 'series:<tpoly>' spec; D and Delta are the caller's."""
     if not spec.startswith("series:"):
-        raise ParseError(f"unknown {what} {spec!r}; use D, Delta, or series:<tpoly>")
-    return parse_poly(spec[len("series:"):], var="t")
+        raise ParseError(f"unknown {what} {spec!r}; use {SERIES_SPEC}")
+    sc = Scanner(spec, len("series:"))  # positions count from the argument's start
+    tpoly = sc.poly("t")
+    sc.end()
+    return tpoly
 
 
 def _basis_for(spec: str, order: int):
@@ -358,7 +366,6 @@ WINDOW = (
     _arg("-n", "--nmax", type=_size, default=DEFAULT_NMAX),
     _arg("--slack", type=_size, default=DEFAULT_SLACK),
 )
-SERIES_SPEC = "D, Delta, or series:<tpoly>"
 
 COMMANDS = {
     "apply": (_cmd_apply, "apply an operator to a polynomial", (OPERATOR, _arg("poly"))),
@@ -391,12 +398,8 @@ COMMANDS = {
 
 
 def build_parser(verb=None) -> argparse.ArgumentParser:
-    """The parser of one call whose first argument is ``verb``.
-
-    A known verb gets only its own subcommand; anything else (None, an
-    option, an unknown word) gets all of them, for --help and argparse's
-    invalid-choice message.
-    """
+    """The parser of a call that starts with ``verb``: that verb's subcommand
+    alone if it is one, else all of them (for --help and invalid choices)."""
     parser = argparse.ArgumentParser(
         prog="opcalc",
         description="Exact operator calculus on polynomials.",
@@ -423,14 +426,10 @@ def build_parser(verb=None) -> argparse.ArgumentParser:
 def _merge_trange(argv: list) -> list:
     """Join '--t -1..2' into '--t=-1..2' so argparse accepts the leading dash."""
     out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--t" and i + 1 < len(argv):
-            out.append(f"--t={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
+    rest = iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg == "--t" else None
+        out.append(arg if value is None else f"--t={value}")
     return out
 
 
@@ -438,6 +437,8 @@ def main(argv=None) -> int:
     argv = _merge_trange(sys.argv[1:] if argv is None else list(argv))
     parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
+    if args.format not in FORMATS:  # argparse checks no default against its choices
+        parser.error(f"invalid OPCALC_FORMAT {args.format!r} (choose from 'text', 'json')")
     try:
         doc, text, code = args.func(args)
     except ParseError as err:

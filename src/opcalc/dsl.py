@@ -131,9 +131,14 @@ def _parse_atom(sc: Scanner) -> OpExpr:
         return Shift(a)
     if name in ("sub", "poly", "series"):
         sc.take("(")
+        sc.skip_ws()
+        body = sc.pos
         q = sc.poly("t" if name == "series" else "x")
         sc.take(")")
         if name == "sub":
+            if q.is_zero():
+                sc.pos = body
+                raise sc.error(("nonzero polynomial",))
             return Substitute(q)
         if name == "poly":
             return PolyInX(q)

@@ -428,9 +428,9 @@ class Scanner:
     `ParseError` carries its position in the whole text.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, pos: int = 0):
         self.text = text
-        self.pos = 0
+        self.pos = pos
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():

@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from opcalc.cli import GRAMMAR_HELP, main
+from opcalc.cli import COMMANDS, GRAMMAR_HELP, main
 from opcalc.dsl import parse_operator
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -184,6 +184,18 @@ def test_format_env_fallback(capsys, monkeypatch):
     assert json.loads(out)["S"] == "3"
 
 
+def test_invalid_format_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("OPCALC_FORMAT", "xml")
+    with pytest.raises(SystemExit) as exc:
+        main(["apply", "D", "x^2"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "opcalc: error: invalid OPCALC_FORMAT 'xml'" in out.err
+    # An explicit --format wins over the environment.
+    code, out, _ = run(capsys, "apply", "D", "x^2", "--format", "json")
+    assert code == 0 and json.loads(out)["result"] == "2*x"
+
+
 def test_outputs_byte_stable(capsys):
     first = run(capsys, "expand-xb", "J", "--basis", "Delta", "-N", "3")
     second = run(capsys, "expand-xb", "J", "--basis", "Delta", "-N", "3")
@@ -309,6 +321,26 @@ def test_zero_denominator_is_a_parse_error(capsys, argv, fmt):
     assert "nonzero denominator" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [("umbral", "--delta", "series:t+1/0*t^2"), ("expand-xb", "J", "--basis", "series:t+1/0*t^2")],
+    ids=" ".join,
+)
+def test_series_spec_error_positions_count_from_the_argument_start(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "opcalc: parse error: at position 11: expected nonzero denominator\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("operator, position", [("sub(0)", 4), ("D sub( x - x)", 7)])
+def test_zero_substitution_is_a_parse_error(capsys, operator, position, fmt):
+    code, out, err = run(capsys, "apply", operator, "x", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"opcalc: parse error: at position {position}: expected nonzero polynomial\n"
+
+
 def test_grammar_help_examples_parse():
     examples = re.findall(r'^  "(.+?)" ', GRAMMAR_HELP, re.MULTILINE)
     assert len(examples) == 4
@@ -328,13 +360,9 @@ def test_zero_window_still_reports_window_too_small(capsys):
 # the next, so the files hold only on the minor that generated them.
 USAGE = GOLDEN / "usage"
 USAGE_PYTHON = (3, 11)
-VERBS = (
-    "apply", "d-expand", "expand-xd", "expand-xb", "check-dx", "expand-dx",
-    "normal-order", "umbral", "counterexample", "reorder",
-)
 USAGE_CASES = [
     ("help", ("--help",), 0),
-    *((f"help_{verb}", (verb, "--help"), 0) for verb in VERBS),
+    *((f"help_{verb}", (verb, "--help"), 0) for verb in COMMANDS),
     ("version", ("--version",), 0),
     ("no_arguments", (), 2),
     ("unknown_verb", ("frobnicate", "D"), 2),
@@ -360,3 +388,8 @@ def test_usage_golden(capsys, monkeypatch, stem, argv, code):
     out = capsys.readouterr()
     text = (USAGE / f"{stem}.txt").read_text()
     assert (exc.value.code, out.out, out.err) == ((0, text, "") if code == 0 else (code, "", text))
+
+
+def test_every_verb_has_a_help_golden():
+    helps = {path.stem.removeprefix("help_") for path in USAGE.glob("help_*.txt")}
+    assert helps == set(COMMANDS)
