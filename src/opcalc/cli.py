@@ -397,7 +397,7 @@ COMMANDS = {
 }
 
 
-def build_parser(verb=None) -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The parser of a call that starts with ``verb``: that verb's subcommand
     alone if it is one, else all of them (for --help and invalid choices)."""
     parser = argparse.ArgumentParser(

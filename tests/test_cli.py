@@ -377,7 +377,7 @@ USAGE_CASES = [
 @pytest.mark.skipif(
     sys.version_info[:2] != USAGE_PYTHON,
     reason="argparse help layout changes between Python minor versions; "
-    "the usage goldens were generated on Python 3.11",
+    "the usage goldens were generated on Python %d.%d" % USAGE_PYTHON,
 )
 @pytest.mark.parametrize("stem, argv, code", USAGE_CASES, ids=[c[0] for c in USAGE_CASES])
 def test_usage_golden(capsys, monkeypatch, stem, argv, code):
