@@ -27,7 +27,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .poly import NEG_INF, Poly, Rat, falling_factorial, falling_factorial_at, rat
-from .series import POS_INF, PSeries, SSeries, exp_xt, pseries_exp
+from .series import POS_INF, SSeries, pseries_exp
 from .operators import (
     Add,
     Compose,

@@ -122,6 +122,12 @@ def _basis_for(spec: str, order: int):
         B = Delta()
     else:
         tpoly = _series_spec(spec, "basis")
+        # Only a symbol of order exactly 1 lowers every degree by one.
+        if tpoly.coeff(0) != 0 or tpoly.coeff(1) == 0:
+            raise ParseError(
+                f"basis {spec!r} must have order exactly 1: "
+                "zero constant term and nonzero t coefficient"
+            )
         B = SeriesInD(SSeries.from_poly(tpoly, _degree(tpoly)), exact=True)
     return divided_power_basis(B, order, tag=spec)
 

@@ -26,7 +26,6 @@ class DividedPowerBasis:
 
     operator: OpExpr
     polys: tuple
-    genfun: PSeries
     tag: str = "B"
 
     @property
@@ -101,7 +100,7 @@ def divided_power_basis(B: OpExpr, N: int, tag: str | None = None) -> DividedPow
         polys.append(Poly([0, *coordinates(polys[-1], images.__getitem__)]))
     if tag is None:
         tag = {D(): "D", Delta(): "Delta"}.get(B, "B")
-    return DividedPowerBasis(B, tuple(polys), PSeries(tuple(polys), N), tag)
+    return DividedPowerBasis(B, tuple(polys), tag)
 
 
 def _xd_terms(row, N: int) -> tuple:
@@ -123,8 +122,7 @@ def xb_expand(Q: OpExpr, basis: DividedPowerBasis, N: int) -> XDExpansion:
             f"basis truncated at {basis.trunc_order} cannot support order {N}"
         )
     qb = PSeries(tuple(Q.apply(basis.poly(n)) for n in range(N + 1)), N)
-    genfun = PSeries(basis.genfun.coeffs[: N + 1], N)
-    product = qb * genfun.invert()
+    product = qb * PSeries(basis.polys[: N + 1], N).invert()
     return XDExpansion(product.coeffs, N, basis.operator, basis.tag)
 
 

@@ -13,14 +13,18 @@ r <- r - (f(r) - t) / f'(r) for the compositional inverse, with f'(r)
 read off (f(r))' = f'(r) r' so that each step composes once.
 ``compose`` is Horner's rule, truncated after every product.
 
-A ``PSeries`` holds polynomial coefficients (exact, unbounded degree in
-x) for t^0..t^N.  Operations on series of different truncation order
-return the shorter order.
+``SSeries`` is the truncated-series type.  A ``PSeries`` (exact
+polynomials in x as the coefficients of t^0..t^N) serves only the
+generating functions in x and t: exp(-xt) and b(x,t) for the XD and XB
+expansions, exp(x g(t)) (``exp_x``) for the umbral families.  It keeps
+a tuple of ``Poly`` and just the product, the inverse and ``pseries_exp``:
+a packed bivariate product measured mostly slower, and one class generic
+over both coefficient types would branch on the type in every method.
+Mixed truncation orders give the shorter order.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
@@ -156,25 +160,10 @@ class SSeries:
         if isinstance(other, SSeries):
             n = min(self.trunc_order, other.trunc_order)
             return _series(self.poly.truncate(n) * other.poly.truncate(n), n)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other) -> "SSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         return NotImplemented
 
     def scale(self, c: RatLike) -> "SSeries":
         return _series(self.poly.scale(c), self.trunc_order)
-
-    def __pow__(self, n: int) -> "SSeries":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series power must be a nonnegative integer")
-        out = SSeries.one(self.trunc_order)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def derivative(self) -> "SSeries":
         """Formal derivative; the result is one order shorter."""
@@ -240,11 +229,6 @@ class SSeries:
     def __hash__(self) -> int:
         return hash((self.poly, self.trunc_order))
 
-    def agrees_with(self, other: "SSeries") -> bool:
-        """Equality of the common prefix, ignoring truncation mismatch."""
-        n = min(self.trunc_order, other.trunc_order)
-        return self.poly.truncate(n) == other.poly.truncate(n)
-
     def __str__(self) -> str:
         return render_poly(self.poly, var="t") + f" + O(t^{self.trunc_order + 1})"
 
@@ -276,63 +260,23 @@ class PSeries:
     def __setattr__(self, name, value):
         raise AttributeError("PSeries is immutable")
 
-    @classmethod
-    def zero(cls, trunc: int) -> "PSeries":
-        return cls((), trunc)
-
-    @classmethod
-    def one(cls, trunc: int) -> "PSeries":
-        return cls((Poly.one(),), trunc)
-
     def coeff(self, k: int) -> Poly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return Poly()
 
-    def __add__(self, other: "PSeries") -> "PSeries":
+    def __mul__(self, other) -> "PSeries":
         if not isinstance(other, PSeries):
             return NotImplemented
         n = min(self.trunc_order, other.trunc_order)
-        return PSeries(tuple(self.coeff(k) + other.coeff(k) for k in range(n + 1)), n)
-
-    def __sub__(self, other: "PSeries") -> "PSeries":
-        if not isinstance(other, PSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "PSeries":
-        return PSeries(tuple(-c for c in self.coeffs), self.trunc_order)
-
-    def __mul__(self, other) -> "PSeries":
-        if isinstance(other, PSeries):
-            n = min(self.trunc_order, other.trunc_order)
-            out = [Poly() for _ in range(n + 1)]
-            for i in range(min(len(self.coeffs), n + 1)):
-                a = self.coeffs[i]
-                if a.is_zero():
-                    continue
-                for j in range(min(len(other.coeffs), n + 1 - i)):
-                    out[i + j] = out[i + j] + a * other.coeffs[j]
-            return PSeries(out, n)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Poly):
-            return self.scale_by_poly(other)
-        return NotImplemented
-
-    def __rmul__(self, other) -> "PSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Poly):
-            return self.scale_by_poly(other)
-        return NotImplemented
-
-    def scale(self, c: RatLike) -> "PSeries":
-        c = rat(c)
-        return PSeries(tuple(a.scale(c) for a in self.coeffs), self.trunc_order)
-
-    def scale_by_poly(self, p: Poly) -> "PSeries":
-        return PSeries(tuple(a * p for a in self.coeffs), self.trunc_order)
+        out = [Poly() for _ in range(n + 1)]
+        for i in range(n + 1):
+            a = self.coeffs[i]
+            if a.is_zero():
+                continue
+            for j in range(n + 1 - i):
+                out[i + j] = out[i + j] + a * other.coeffs[j]
+        return PSeries(out, n)
 
     def invert(self) -> "PSeries":
         """Multiplicative inverse; the constant coefficient must be 1."""
@@ -355,23 +299,9 @@ class PSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.trunc_order))
-
-    def agrees_with(self, other: "PSeries") -> bool:
-        n = min(self.trunc_order, other.trunc_order)
-        return all(self.coeff(k) == other.coeff(k) for k in range(n + 1))
-
     def __repr__(self) -> str:
         inner = ", ".join(str(c) for c in self.coeffs)
         return f"PSeries([{inner}], N={self.trunc_order})"
-
-
-def exp_xt(trunc: int) -> PSeries:
-    """exp(xt) truncated: coefficient of t^n is x^n/n!."""
-    return PSeries(
-        tuple(Poly.monomial(n, Rat(1, factorial(n))) for n in range(trunc + 1)), trunc
-    )
 
 
 def _exp_neg_xt(trunc: int) -> PSeries:
@@ -399,3 +329,9 @@ def pseries_exp(u: PSeries) -> PSeries:
                 acc = acc + ku[k] * out[m - k]
         out.append(acc.scale(Rat(1, m)))
     return PSeries(out, n)
+
+
+def exp_x(g: SSeries, N: int) -> tuple:
+    """The t^0..t^N coefficients of exp(x g(t)), for g of order at least 1."""
+    xg = PSeries(tuple(Poly.monomial(1, g.coeff(j)) for j in range(N + 1)), N)
+    return pseries_exp(xg).coeffs

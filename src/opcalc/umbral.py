@@ -25,7 +25,7 @@ from .errors import NotDelta, NotDXEligible, TruncationError
 from .expansions import XDExpansion
 from .operators import Compose, D, OpExpr, OpTable, SeriesInD, X
 from .poly import NEG_INF, Poly, Rat, combine, coordinates
-from .series import PSeries, SSeries, pseries_exp
+from .series import SSeries, exp_x
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,13 @@ class PolySequence:
 
 def delta_from_series(f: SSeries) -> DeltaOp:
     """Wrap a series symbol, insisting on order exactly 1 within truncation."""
-    if f.trunc_order < 1 or f.coeff(0) != 0 or f.coeff(1) == 0:
+    if f.trunc_order < 1:
+        raise TruncationError(
+            f"symbol truncated at {f.trunc_order} cannot certify order exactly 1"
+        )
+    if f.coeff(0) != 0 or f.coeff(1) == 0:
         raise NotDelta("delta operator requires a symbol of order exactly 1")
     return DeltaOp(f)
-
-
-def _exp_x(g: SSeries, N: int) -> tuple:
-    """The t^0..t^N coefficients of exp(x g(t)), for g of order at least 1."""
-    xg = PSeries(tuple(Poly.monomial(1, g.coeff(j)) for j in range(N + 1)), N)
-    return pseries_exp(xg).coeffs
 
 
 def _divided_powers(P: DeltaOp, N: int) -> tuple:
@@ -83,7 +81,7 @@ def _divided_powers(P: DeltaOp, N: int) -> tuple:
             f"symbol truncated at {P.trunc_order} cannot certify divided powers "
             f"to index {N}"
         )
-    return _exp_x(P.f.truncate(N + 1).reverse(), N)
+    return exp_x(P.f.truncate(N + 1).reverse(), N)
 
 
 def conjugate_polys(P: DeltaOp, N: int) -> tuple:
@@ -92,7 +90,7 @@ def conjugate_polys(P: DeltaOp, N: int) -> tuple:
         raise TruncationError(
             f"symbol truncated at {P.trunc_order} cannot produce conjugates to {N}"
         )
-    return tuple(c.scale(factorial(k)) for k, c in enumerate(_exp_x(P.f, N)))
+    return tuple(c.scale(factorial(k)) for k, c in enumerate(exp_x(P.f, N)))
 
 
 def sequences(P: DeltaOp, N: int) -> tuple:
@@ -128,7 +126,7 @@ def umbral_op_xd(P: DeltaOp, N: int) -> XDExpansion:
         raise TruncationError(
             f"symbol truncated at {P.trunc_order} cannot expand to order {N}"
         )
-    return XDExpansion(_exp_x(P.f - SSeries.t(P.f.trunc_order), N), N, D(), "D")
+    return XDExpansion(exp_x(P.f - SSeries.t(P.f.trunc_order), N), N, D(), "D")
 
 
 def umbral_op_dx(P: DeltaOp, K: int) -> DXExpansion:

@@ -334,6 +334,25 @@ def test_series_spec_error_positions_count_from_the_argument_start(capsys, argv,
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("basis", ["series:t^2", "series:0", "series:1+t"])
+def test_basis_of_order_other_than_one_is_a_parse_error(capsys, basis, fmt):
+    code, out, err = run(capsys, "expand-xb", "J", "--basis", basis, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"opcalc: parse error: basis {basis!r} must have order exactly 1: "
+        "zero constant term and nonzero t coefficient\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("delta", ["D", "Delta", "series:t+t^2"])
+def test_zero_budget_blames_the_truncation(capsys, delta, fmt):
+    code, out, err = run(capsys, "umbral", "--delta", delta, "--budget", "0", "--format", fmt)
+    assert (code, out) == (4, "")
+    assert err == "opcalc: symbol truncated at 0 cannot certify order exactly 1\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("operator, position", [("sub(0)", 4), ("D sub( x - x)", 7)])
 def test_zero_substitution_is_a_parse_error(capsys, operator, position, fmt):
     code, out, err = run(capsys, "apply", operator, "x", "--format", fmt)

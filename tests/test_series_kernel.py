@@ -6,10 +6,13 @@ inverses with ``rs_series_inversion``, compositional inverses with
 ``rs_series_reversion`` and compositions with ``rs_series_from_list``.
 Every result is also checked for its layout: a ``Poly`` prefix of degree
 at most the truncation order, and ``coeffs`` as that prefix padded with
-zeros to ``trunc_order + 1`` Fractions.  Hypothesis runs derandomized, so
-the examples are the same on every run.
+zeros to ``trunc_order + 1`` Fractions.  The ``PSeries`` operations
+(product, inverse and ``pseries_exp``) are recomputed the same way in
+``QQ[x, t]``, with ``rs_exp`` for the exponential.  Hypothesis runs
+derandomized, so the examples are the same on every run.
 """
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -18,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.ring_series import (
+    rs_exp,
     rs_mul,
     rs_series_from_list,
     rs_series_inversion,
@@ -25,8 +29,9 @@ from sympy.polys.ring_series import (
 )
 from sympy.polys.rings import ring
 
-from opcalc import POS_INF, Poly, SSeries
+from opcalc import POS_INF, Poly, SSeries, pseries_exp
 from opcalc.errors import InvertError, ReverseError, TruncationError
+from opcalc.series import PSeries, _exp_neg_xt, exp_x
 
 R, T = ring("t", QQ)
 
@@ -204,3 +209,100 @@ def test_compose_with_reverse_is_identity(n, symbol):
     assert r.trunc_order == n
     assert f.compose(r) == SSeries.t(n)
     assert r.compose(f) == SSeries.t(n)
+
+
+# -- PSeries: polynomial coefficients in x --------------------------------
+
+R2, X2, T2 = ring("x,t", QQ)
+
+x_poly = st.lists(coeff, max_size=4).map(Poly)
+
+
+@st.composite
+def pseries(draw, max_trunc=8, head=()):
+    """A PSeries truncated at 0..max_trunc, with x-degree at most 3 per term."""
+    n = draw(st.integers(max(len(head) - 1, 0), max_trunc))
+    cs = draw(st.lists(x_poly, max_size=n + 3))
+    cs[: len(head)] = [draw(s) for s in head]
+    return PSeries(cs, n)
+
+
+def to_ring2(f: PSeries):
+    return R2.from_dict(
+        {
+            (i, k): QQ(c.numerator, c.denominator)
+            for k, p in enumerate(f.coeffs)
+            for i, c in enumerate(p.coeffs)
+            if c
+        }
+    )
+
+
+def from_ring2(p, trunc: int) -> PSeries:
+    rows = [[Fraction(0)] * (max(p.degree(X2), 0) + 1) for _ in range(trunc + 1)]
+    for (i, k), c in p.terms():
+        if k <= trunc:
+            rows[k][i] = Fraction(int(c.numerator), int(c.denominator))
+    return PSeries(tuple(Poly(r) for r in rows), trunc)
+
+
+def check_p(result: PSeries, expected, trunc: int) -> None:
+    assert result.trunc_order == trunc
+    assert len(result.coeffs) == trunc + 1
+    assert all(isinstance(c, Poly) for c in result.coeffs)
+    assert result == from_ring2(expected, trunc)
+
+
+@SETTINGS
+@given(pseries(), pseries())
+def test_pseries_mul_matches_rs_mul(f, g):
+    n = min(f.trunc_order, g.trunc_order)
+    check_p(f * g, rs_mul(to_ring2(f), to_ring2(g), T2, n + 1), n)
+
+
+@SETTINGS
+@given(pseries(head=(st.just(Poly.one()),)))
+def test_pseries_invert_matches_rs_series_inversion(f):
+    n = f.trunc_order
+    check_p(f.invert(), rs_series_inversion(to_ring2(f), T2, n + 1), n)
+
+
+@SETTINGS
+@given(pseries(head=(st.just(Poly()),)))
+def test_pseries_exp_matches_rs_exp(f):
+    n = f.trunc_order
+    check_p(pseries_exp(f), rs_exp(to_ring2(f), T2, n + 1), n)
+
+
+def dense_pseries(n: int, head: Poly, seed: int) -> PSeries:
+    """``head`` then n quadratics in x with every coefficient nonzero."""
+    rng = random.Random(seed)
+
+    def pick():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    return PSeries((head, *(Poly([pick(), pick(), pick()]) for _ in range(n))), n)
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_pseries_dense_operands_match_ring(n):
+    # Every index pair of the O(N^2) loops meets nonzero terms, which the
+    # mostly sparse Hypothesis draws above rarely reach.
+    f = dense_pseries(n, Poly.const(3), seed=n)
+    g = dense_pseries(n, Poly(), seed=n + 100)
+    unit = dense_pseries(n, Poly.one(), seed=n + 200)
+    check_p(f * g, rs_mul(to_ring2(f), to_ring2(g), T2, n + 1), n)
+    check_p(unit.invert(), rs_series_inversion(to_ring2(unit), T2, n + 1), n)
+    check_p(pseries_exp(g), rs_exp(to_ring2(g), T2, n + 1), n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 16])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exp_x_kernel_matches_exp_of_plus_minus_xt(n, sign):
+    g = SSeries.t(n).scale(sign)
+    got = exp_x(g, n)
+    want = tuple(Poly.monomial(k, Fraction(sign**k, factorial(k))) for k in range(n + 1))
+    assert got == want
+    assert PSeries(got, n) == from_ring2(rs_exp(sign * X2 * T2, T2, n + 1), n)
+    if sign == -1:
+        assert got == _exp_neg_xt(n).coeffs
