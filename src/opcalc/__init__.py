@@ -45,10 +45,7 @@ from .operators import (
     Substitute,
     X,
     d_expand,
-    op_apply,
-    op_diagonal,
     op_equal_upto,
-    op_row,
     shift_invariance_check,
 )
 from .expansions import (

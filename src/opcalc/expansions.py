@@ -15,7 +15,7 @@ from math import factorial
 from typing import Sequence
 
 from .errors import NotDegreeReducing, TruncationError
-from .operators import D, Delta, OpExpr
+from .operators import D, Delta, OpExpr, OpTable
 from .poly import NEG_INF, Poly, Rat, RatLike, combine, coordinates
 from .series import PSeries, _exp_neg_xt
 
@@ -64,11 +64,12 @@ class XDExpansion:
 def _degree_reducing_images(B: OpExpr, M: int) -> list:
     """B x^1..B x^M, or NotDegreeReducing unless B kills constants and
     drops the degree of each of these monomials by exactly one."""
-    if not B.apply(Poly.one()).is_zero():
+    row = OpTable(B).row
+    if not row(0).is_zero():
         raise NotDegreeReducing("operator does not annihilate constants", degree=0)
     images = []
     for n in range(1, M + 1):
-        img = B.apply(Poly.monomial(n))
+        img = row(n)
         if img.degree != n - 1:
             raise NotDegreeReducing(
                 f"deg(B x^{n}) = {img.degree}, expected {n - 1}", degree=n
@@ -112,7 +113,7 @@ def _xd_terms(row, N: int) -> tuple:
 
 def xd_expand(Q: OpExpr, N: int) -> XDExpansion:
     """Expansion of Q in X and D: a_n(x) from Q exp(xt) times exp(-xt)."""
-    return XDExpansion(_xd_terms(lambda k: Q.apply(Poly.monomial(k)), N), N, D(), "D")
+    return XDExpansion(_xd_terms(OpTable(Q).row, N), N, D(), "D")
 
 
 def xb_expand(Q: OpExpr, basis: DividedPowerBasis, N: int) -> XDExpansion:

@@ -5,8 +5,10 @@ Every operator here is a linear map of the polynomial ring to itself.
 left∘right.  The ``*`` operator on expressions is composition; ``+`` is
 operator sum; multiplying by a rational scales.
 
-``OpTable`` is the matrix view of an operator: row n is Q x^n, cached, and
-the t-th diagonal reads the coefficient of x^(n+t) across rows.
+``OpTable`` is the row engine: row n is Q x^n, cached, and the t-th
+diagonal reads the coefficient of x^(n+t) across rows.  Every expansion
+and check that needs Q x^n reads it there.  Shift invariance is decided
+exactly, as commuting with D on x^0..x^N.
 """
 
 from __future__ import annotations
@@ -14,15 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 from .errors import TruncationError
-from .poly import NEG_INF, Poly, Rat, RatLike, rat
+from .poly import NEG_INF, Poly, Rat, rat
 from .series import SSeries
-
-# Shift samples used by the invariance check; a polynomial identity in the
-# shift a that holds at deg+1 points holds identically.
-DEFAULT_SHIFT_SAMPLES = (Rat(1), Rat(-1), Rat(2), Rat(1, 2))
 
 
 class OpExpr:
@@ -32,9 +30,6 @@ class OpExpr:
 
     def apply(self, p: Poly) -> Poly:
         raise NotImplementedError
-
-    def __call__(self, p: Poly) -> Poly:
-        return self.apply(p)
 
     def __add__(self, other: "OpExpr") -> "OpExpr":
         if not isinstance(other, OpExpr):
@@ -233,19 +228,19 @@ class Scale(OpExpr):
         return self.inner.apply(p).scale(self.c)
 
 
-RowSource = Union[OpExpr, Callable[[int], Poly]]
-
-
 class OpTable:
     """Memoized matrix view of an operator: row n is Q x^n.
 
     The source is either an expression tree or an oracle n -> Q x^n, so
-    operators with no finite description are injectable.  Row insertion is
+    operators with no finite description are injectable; the constructor
+    turns a tree into its row function once.  Row insertion is
     idempotent; concurrent duplicate computation is harmless.
     """
 
-    def __init__(self, source: RowSource):
-        self.source = source
+    def __init__(self, source: OpExpr | Callable[[int], Poly]):
+        if isinstance(source, OpExpr):
+            source = lambda n, Q=source: Q.apply(Poly.monomial(n))
+        self._source = source
         self._rows: dict[int, Poly] = {}
 
     def row(self, n: int) -> Poly:
@@ -254,11 +249,7 @@ class OpTable:
         hit = self._rows.get(n)
         if hit is not None:
             return hit
-        if isinstance(self.source, OpExpr):
-            value = self.source.apply(Poly.monomial(n))
-        else:
-            value = self.source(n)
-        self._rows[n] = value
+        value = self._rows[n] = self._source(n)
         return value
 
     def diagonal(self, t: int, n_max: int) -> list:
@@ -272,41 +263,26 @@ class OpTable:
         return out
 
 
-def op_apply(Q: OpExpr, p: Poly) -> Poly:
-    return Q.apply(p)
-
-
-def op_row(table: OpTable, n: int) -> Poly:
-    return table.row(n)
-
-
-def op_diagonal(table: OpTable, t: int, n_max: int) -> list:
-    return table.diagonal(t, n_max)
-
-
 def op_equal_upto(Q: OpExpr, R: OpExpr, N: int) -> bool:
     """True iff Q and R agree on the monomials x^0..x^N."""
-    return all(Q.apply(Poly.monomial(n)) == R.apply(Poly.monomial(n)) for n in range(N + 1))
+    left, right = OpTable(Q).row, OpTable(R).row
+    return all(left(n) == right(n) for n in range(N + 1))
 
 
-def shift_invariance_check(
-    Q: OpExpr, N: int, samples: Sequence[RatLike] = DEFAULT_SHIFT_SAMPLES
-) -> bool:
-    """Evidence that Q commutes with translations, up to degree N.
+def shift_invariance_check(Q: OpExpr, N: int) -> bool:
+    """True iff Q commutes with translations on polynomials of degree <= N.
 
-    Checks Q E^a x^n = E^a Q x^n for every sample shift a and n <= N.
-    Rejection is sound; acceptance is evidence bounded by N and the
-    sample set.
+    On polynomials, commuting with every translation is commuting with D
+    (E^a = exp(aD), and for any a != 0, D = log(E^a)/a is a finite sum of
+    powers of E^a - I), so the check is (Q 1)' = 0 and
+    (Q x^n)' = n Q x^(n-1) for 1 <= n <= N.
+    Acceptance is exact on degrees <= N.
     """
-    if not samples:
-        raise ValueError("need at least one shift sample")
-    shifts = [rat(a) for a in samples]
+    table = OpTable(Q)
     for n in range(N + 1):
-        xn = Poly.monomial(n)
-        qxn = Q.apply(xn)
-        for a in shifts:
-            if Q.apply(xn.shift(a)) != qxn.shift(a):
-                return False
+        lower = table.row(n - 1).scale(n) if n else Poly()
+        if table.row(n).derivative() != lower:
+            return False
     return True
 
 
@@ -317,7 +293,5 @@ def d_expand(Q: OpExpr, N: int) -> SSeries:
     on polynomials of degree <= N; wrapping the result in SeriesInD gives
     that reconstruction directly.
     """
-    coeffs = [
-        Q.apply(Poly.monomial(k)).eval(0) / factorial(k) for k in range(N + 1)
-    ]
-    return SSeries(coeffs, N)
+    table = OpTable(Q)
+    return SSeries([table.row(k).eval(0) / factorial(k) for k in range(N + 1)], N)

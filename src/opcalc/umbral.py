@@ -18,7 +18,10 @@ with exponent above one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from math import factorial
+from operator import getitem
+from typing import Callable
 
 from .dx import ConvergenceCertificate, DXExpansion, dx_convergence_check
 from .errors import NotDelta, NotDXEligible, TruncationError
@@ -108,6 +111,19 @@ def basic_sequence(P: DeltaOp, N: int) -> PolySequence:
     )
 
 
+def _family_table(
+    family: Callable[[int], tuple], last: int, row: Callable[[tuple, int], Poly]
+) -> OpTable:
+    """Rows Q x^n = row(family(last), n) of an operator read off one family.
+
+    family(n) builds the family that rows 0..n need; it is built once, to
+    the last row the symbol supports, when the first row is read.  A row
+    past ``last`` calls family(n), which raises its TruncationError.
+    """
+    built = cache(family)
+    return OpTable(lambda n: row(built(last if n <= last else n), n))
+
+
 def umbral_op_apply(P: DeltaOp, p: Poly) -> Poly:
     """The umbral operator of P: the linear extension of x^k -> conjugate_k."""
     deg = p.degree
@@ -163,7 +179,7 @@ def umbral_op_dx(P: DeltaOp, K: int) -> DXExpansion:
         series_order=min(f.trunc_order for f in terms),
         complete=False,
         certificate=verdict.certificate,
-        source=OpTable(lambda n: umbral_op_apply(P, Poly.monomial(n))),
+        source=_family_table(partial(conjugate_polys, P), P.trunc_order, getitem),
     )
 
 
@@ -177,7 +193,11 @@ def umbral_shift_apply(P: DeltaOp, p: Poly) -> Poly:
     deg = p.degree
     if deg is NEG_INF:
         return Poly()
-    b = _divided_powers(P, int(deg) + 1)
+    return _raise_index(p, _divided_powers(P, int(deg) + 1))
+
+
+def _raise_index(p: Poly, b: tuple) -> Poly:
+    """The umbral shift of p, given divided powers b through index deg(p) + 1."""
     coords = coordinates(p, b.__getitem__)
     return combine([c * (n + 1) for n, c in enumerate(coords)], lambda n: b[n + 1])
 
@@ -235,7 +255,8 @@ def umbral_shift_dx(P: DeltaOp, N: int) -> DXExpansion:
         certificate=ConvergenceCertificate(
             "finite", tuple((k, f.order()) for k, f in enumerate((f0, f1))), 1
         ),
-        source=OpTable(lambda n: umbral_shift_apply(P, Poly.monomial(n))),
+        source=_family_table(lambda n: _divided_powers(P, n + 1), P.trunc_order - 2,
+                             lambda b, n: _raise_index(Poly.monomial(n), b)),
     )
 
 

@@ -10,6 +10,8 @@ from fractions import Fraction
 from opcalc import (
     D,
     Delta,
+    Eval0,
+    Identity,
     J,
     Poly,
     PolyInX,
@@ -54,16 +56,45 @@ def random_atom(rng: random.Random):
     return SeriesInD(SSeries.from_poly(tpoly, trunc), exact=True)
 
 
-def random_operator(rng: random.Random, depth: int = 2):
-    """Random expression tree over the DSL atom set; exact at any degree."""
+def random_wide_atom(rng: random.Random):
+    """random_atom, or Eval0, I, or a series in D that is not exact."""
+    kind = rng.randrange(11)
+    if kind == 8:
+        return Eval0()
+    if kind == 9:
+        return Identity()
+    if kind == 10:
+        trunc = rng.randint(1, 6)
+        return SeriesInD(SSeries([rng.choice(COEFFS) for _ in range(trunc + 1)], trunc))
+    return random_atom(rng)
+
+
+def random_operator(rng: random.Random, depth: int = 2, atom=random_atom):
+    """Random expression tree over ``atom``; with random_atom, exact at any degree."""
     if depth == 0 or rng.random() < 0.4:
-        return random_atom(rng)
+        return atom(rng)
     kind = rng.randrange(3)
     if kind == 0:
-        return random_operator(rng, depth - 1) + random_operator(rng, depth - 1)
+        return random_operator(rng, depth - 1, atom) + random_operator(rng, depth - 1, atom)
     if kind == 1:
-        return random_operator(rng, depth - 1) * random_operator(rng, depth - 1)
-    return rng.choice(NONZERO) * random_operator(rng, depth - 1)
+        return random_operator(rng, depth - 1, atom) * random_operator(rng, depth - 1, atom)
+    return rng.choice(NONZERO) * random_operator(rng, depth - 1, atom)
+
+
+def sampled_shift_invariance(Q, N: int, samples=(1, -1, 2, Fraction(1, 2))) -> bool:
+    """Reference check: Q E^a x^n == E^a Q x^n for each sampled shift a and n <= N.
+
+    Commuting with one translation E^a, a != 0, on x^0..x^n is commuting
+    with D there (E^a - I is a delta operator), so any nonzero samples give
+    the verdict of the exact row test, at 4(N + 1) more applications of Q.
+    """
+    for n in range(N + 1):
+        xn = Poly.monomial(n)
+        qxn = Q.apply(xn)
+        for a in samples:
+            if Q.apply(xn.shift(a)) != qxn.shift(a):
+                return False
+    return True
 
 
 def random_dx_atom(rng: random.Random):

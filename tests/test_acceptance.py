@@ -34,8 +34,6 @@ from opcalc import (
     fit_diagonal,
     gf_consistency_check,
     observed_tail_bound,
-    op_apply,
-    op_diagonal,
     polynomial_diagonals,
     rat,
     rodrigues_xd,
@@ -119,7 +117,7 @@ def test_criterion_03_roundtrip_property():
             xbs = [xb_expand(Q, basis, N) for basis in bases]
             for _ in range(3):
                 p = random_poly(rng, N)
-                want = op_apply(Q, p)
+                want = Q.apply(p)
                 assert xd_apply(xd, p) == want
                 for xb in xbs:
                     assert xd_apply(xb, p) == want
@@ -225,7 +223,7 @@ def test_criterion_07_closure_under_composition():
             composed = OpTable(R * P)  # apply P first
             for u in range(-8, 9):
                 q_u = compose_via_diagonals(p_diags, r_diags, u, S, T)
-                samples = op_diagonal(composed, u, 15)
+                samples = composed.diagonal(u, 15)
                 assert [q_u.eval(n) for n in range(16)] == samples, (P, R, u)
                 if u > S + T:
                     assert q_u.is_zero()
@@ -326,5 +324,5 @@ def test_criterion_11_d_expansion_reconstruction():
             reconstruction = SeriesInD(d_expand(Q, N))
             for n in range(N + 1):
                 p = Poly.monomial(n)
-                assert reconstruction.apply(p) == op_apply(Q, p)
+                assert reconstruction.apply(p) == Q.apply(p)
         assert not shift_invariance_check(X(), N)

@@ -35,7 +35,6 @@ from opcalc import (
     fit_diagonal,
     gf_consistency_check,
     observed_tail_bound,
-    op_diagonal,
     rat,
 )
 
@@ -309,7 +308,7 @@ def test_compose_single_term():
     )
     assert q0 == Poly.parse("x + 1")
     table = OpTable(D() * X())
-    assert [q0.eval(n) for n in range(8)] == op_diagonal(table, 0, 7)
+    assert [q0.eval(n) for n in range(8)] == table.diagonal(0, 7)
 
 
 def test_compose_with_identity():
@@ -326,7 +325,7 @@ def test_compose_two_shifts():
     table = OpTable(Shift(2))
     for u in range(-6, 1):
         qu = compose_via_diagonals(p_diags, p_diags, u, 0, 0)
-        diag = op_diagonal(table, u, 7)
+        diag = table.diagonal(u, 7)
         assert [qu.eval(n) for n in range(8)] == diag, u
 
 

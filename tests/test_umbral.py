@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from opcalc import series
 from opcalc import (
     Delta,
     NotDelta,
@@ -22,7 +23,6 @@ from opcalc import (
     dx_check,
     endomorphism_xd,
     gf_consistency_check,
-    op_apply,
     op_equal_upto,
     pincherle_derivative,
     rat,
@@ -207,6 +207,29 @@ def test_prop_gate_family_against_diagonals():
     assert all_polynomial(dx_check(table, -4, 4, 14, 3))
 
 
+@pytest.mark.parametrize(
+    "build, action, past, message",
+    [
+        (umbral_op_dx, umbral_op_apply, 25, "cannot produce conjugates to 25"),
+        (umbral_shift_dx, umbral_shift_apply, 23, "cannot certify divided powers to index 24"),
+    ],
+    ids=["operator", "shift"],
+)
+def test_source_rows_build_the_family_once(monkeypatch, build, action, past, message):
+    calls = []
+    exp = series.pseries_exp
+    monkeypatch.setattr(series, "pseries_exp", lambda u: calls.append(u) or exp(u))
+    P = delta_Delta()
+    table = build(P, 6).source
+    assert calls == []  # nothing is built until a row is read
+    rows = [table.row(n) for n in range(17)]
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert rows == [action(P, Poly.monomial(n)) for n in range(17)]
+    with pytest.raises(TruncationError, match=f"symbol truncated at {BUDGET} {message}$"):
+        table.row(past)
+
+
 def test_pincherle():
     assert pincherle_derivative(SSeries.t(6)) == SSeries.one(5)
     assert pincherle_derivative(SSeries((0, 0, 1), 4)) == SSeries((0, 2), 3)
@@ -355,7 +378,7 @@ def test_endomorphism_expansions():
         expansion = endomorphism_xd(q, 6)
         for n in range(7):
             p = Poly.monomial(n)
-            assert xd_apply(expansion, p) == op_apply(Substitute(q), p)
+            assert xd_apply(expansion, p) == Substitute(q).apply(p)
 
 
 def test_translation_endomorphisms_only_dx():
