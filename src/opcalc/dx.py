@@ -175,7 +175,7 @@ def dx_apply(expansion: DXExpansion, p: Poly, allow_window: bool = False) -> Pol
                 f"term k={k} truncated at order {fk.trunc_order}, degree {n} "
                 f"needs order {need}"
             )
-        out = out + SeriesInD(fk, exact=True).apply(p * Poly.monomial(k))
+        out = out + SeriesInD(fk, exact=True).apply(Poly.monomial(k) * p)
     return out
 
 

@@ -18,7 +18,7 @@ with exponent above one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from math import factorial
 from operator import getitem
 from typing import Callable
@@ -111,17 +111,22 @@ def basic_sequence(P: DeltaOp, N: int) -> PolySequence:
     )
 
 
-def _family_table(
-    family: Callable[[int], tuple], last: int, row: Callable[[tuple, int], Poly]
-) -> OpTable:
-    """Rows Q x^n = row(family(last), n) of an operator read off one family.
+def _family_table(family: Callable, last: int, row: Callable) -> OpTable:
+    """Rows Q x^n = row(family(m), n) of an operator read off one family.
 
-    family(n) builds the family that rows 0..n need; it is built once, to
-    the last row the symbol supports, when the first row is read.  A row
-    past ``last`` calls family(n), which raises its TruncationError.
+    family(m) builds what rows 0..m need, at the first read past the built
+    m, to max(n, 2m) capped at ``last``: rows 0..n read in order build it
+    O(log n) times, never past 2n.  Past ``last``, family(n) raises.
     """
-    built = cache(family)
-    return OpTable(lambda n: row(built(last if n <= last else n), n))
+    built = [-1, ()]
+
+    def read(n: int) -> Poly:
+        if n > built[0]:
+            m = n if n > last else min(max(n, 2 * built[0]), last)
+            built[:] = m, family(m)
+        return row(built[1], n)
+
+    return OpTable(read)
 
 
 def umbral_op_apply(P: DeltaOp, p: Poly) -> Poly:

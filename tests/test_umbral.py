@@ -208,14 +208,20 @@ def test_prop_gate_family_against_diagonals():
 
 
 @pytest.mark.parametrize(
-    "build, action, past, message",
+    "build, action, orders, past, message",
     [
-        (umbral_op_dx, umbral_op_apply, 25, "cannot produce conjugates to 25"),
-        (umbral_shift_dx, umbral_shift_apply, 23, "cannot certify divided powers to index 24"),
+        (umbral_op_dx, umbral_op_apply, [0, 1, 2, 4, 8, 16], 25,
+         "cannot produce conjugates to 25"),
+        (umbral_shift_dx, umbral_shift_apply, [1, 2, 3, 5, 9, 17], 23,
+         "cannot certify divided powers to index 24"),
     ],
     ids=["operator", "shift"],
 )
-def test_source_rows_build_the_family_once(monkeypatch, build, action, past, message):
+def test_source_rows_grow_the_family_geometrically(
+    monkeypatch, build, action, orders, past, message
+):
+    # rows 0..16 read in order build the family 6 times, each to
+    # max(n, 2m) for the largest built m, and never past row 16
     calls = []
     exp = series.pseries_exp
     monkeypatch.setattr(series, "pseries_exp", lambda u: calls.append(u) or exp(u))
@@ -223,11 +229,12 @@ def test_source_rows_build_the_family_once(monkeypatch, build, action, past, mes
     table = build(P, 6).source
     assert calls == []  # nothing is built until a row is read
     rows = [table.row(n) for n in range(17)]
-    assert len(calls) == 1
+    assert [u.trunc_order for u in calls] == orders
     monkeypatch.undo()
     assert rows == [action(P, Poly.monomial(n)) for n in range(17)]
     with pytest.raises(TruncationError, match=f"symbol truncated at {BUDGET} {message}$"):
         table.row(past)
+    assert table.row(17) == action(P, Poly.monomial(17))  # the failed build kept the family
 
 
 def test_pincherle():
