@@ -203,9 +203,9 @@ def _cmd_apply(args) -> tuple:
 
 
 def _cmd_d_expand(args) -> tuple:
-    Q = parse_operator(args.operator)
-    series = d_expand(Q, args.order)
-    invariant = shift_invariance_check(Q, args.order)
+    rows = OpTable(parse_operator(args.operator)).row
+    series = d_expand(rows, args.order)
+    invariant = shift_invariance_check(rows, args.order)
     doc = {
         "kind": "d-expand",
         "order": args.order,

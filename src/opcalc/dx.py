@@ -5,8 +5,9 @@ the matrix diagonal q_t(n) = coefficient of x^(n+t) in Q x^n: the
 expansion exists iff every q_t is a polynomial in n.  Membership in K[n]
 is undecidable from finitely many samples, so every verdict here is
 window-relative evidence: samples q_t(0..n_max) are fitted by forward
-differences and a verdict requires the vanishing difference order to
-leave at least ``slack`` further samples as corroboration.
+differences, taken only up to the first order that vanishes, and a
+verdict requires that order to leave at least ``slack`` further samples
+as corroboration.
 
 The constructive direction writes each fitted diagonal in the basis
 p_k(n) = (n+t+k)_k (monic of degree k, so back-substitution is exact and
@@ -50,7 +51,6 @@ class ConvergenceCertificate:
 
     kind: str
     margins: tuple
-    window_k: int
 
     def margin_at(self, k: int):
         for kk, m in self.margins:
@@ -94,8 +94,7 @@ def dx_convergence_check(orders: Sequence, strict: bool = True) -> ConvergenceVe
         prev = m
     if strict and len(finite) >= 2 and finite[-1][1] <= finite[0][1]:
         return ConvergenceVerdict(False, None, finite[-1][0])
-    cert = ConvergenceCertificate("margin-growth", margins, len(ks) - 1)
-    return ConvergenceVerdict(True, cert, None)
+    return ConvergenceVerdict(True, ConvergenceCertificate("margin-growth", margins), None)
 
 
 # ----------------------------------------------------------------------
@@ -110,18 +109,19 @@ class DXExpansion:
     evidence window it was built from); otherwise the listed terms are a
     truncation of an infinite sum and a convergence certificate governs
     what evaluations are trustworthy.  Each f_k carries its own
-    t-truncation; ``series_order`` is the order through which every term
-    is known.  ``source`` is the row table of the operator the expansion
-    stands for, when one is known.
+    t-truncation.  ``source`` is the row table of the operator the
+    expansion stands for, when one is known.
     """
 
     terms: tuple
-    trunc_k: int
-    series_order: int
     complete: bool
     certificate: ConvergenceCertificate | None = None
     validated_degree: int | None = None
     source: OpTable | None = None
+
+    @property
+    def trunc_k(self) -> int:
+        return len(self.terms) - 1
 
     def term(self, k: int) -> SSeries:
         return self.terms[k]
@@ -216,9 +216,12 @@ class DiagonalFit:
     samples: tuple
     verdict: str
     poly: Poly | None
-    evidence_order: int | None
     n_max: int
     slack: int
+
+    @property
+    def evidence_order(self) -> int | None:
+        return self.n_max - self.slack if self.verdict == "not_polynomial" else None
 
     def to_json_dict(self) -> dict:
         verdict = {"identically_zero": "zero"}.get(self.verdict, self.verdict)
@@ -242,29 +245,30 @@ def binomial_poly(i: int) -> Poly:
 
 
 def fit_diagonal(t: int, samples: Sequence, n_max: int, slack: int) -> DiagonalFit:
-    """Fit one diagonal window by Newton forward differences."""
+    """Fit one diagonal window by Newton forward differences.
+
+    Levels are built one at a time up to the first that vanishes; only
+    the current level and the heads Delta^m q(0) are kept.  A level
+    n_max - slack that is still nonzero (level 0 when that order is
+    negative) means no fit.
+    """
     samples = tuple(rat(s) for s in samples)
-    max_order = n_max - slack
-    levels = [list(samples)]
-    for _ in range(max_order):
-        prev = levels[-1]
-        levels.append([prev[i + 1] - prev[i] for i in range(len(prev) - 1)])
-    fitted = None
-    for m, level in enumerate(levels):
-        if all(v == 0 for v in level):
-            fitted = m
-            break
-    if fitted is None:
-        return DiagonalFit(t, samples, "not_polynomial", None, max_order, n_max, slack)
-    if fitted == 0:
-        return DiagonalFit(t, samples, "identically_zero", Poly(), None, n_max, slack)
-    poly = combine([level[0] for level in levels[:fitted]], binomial_poly)
+    heads = []
+    level = samples
+    while any(level):
+        if len(heads) >= n_max - slack:
+            return DiagonalFit(t, samples, "not_polynomial", None, n_max, slack)
+        heads.append(level[0])
+        level = [b - a for a, b in zip(level, level[1:])]
+    if not heads:
+        return DiagonalFit(t, samples, "identically_zero", Poly(), n_max, slack)
+    poly = combine(heads, binomial_poly)
     for n, s in enumerate(samples):
         if poly.eval(n) != s:
             raise AssertionError(
                 f"Newton form failed to reproduce sample at n={n} (internal error)"
             )
-    return DiagonalFit(t, samples, "polynomial", poly, None, n_max, slack)
+    return DiagonalFit(t, samples, "polynomial", poly, n_max, slack)
 
 
 def dx_check(
@@ -352,11 +356,9 @@ def dx_construct(
         )
     expansion = DXExpansion(
         terms=tuple(terms),
-        trunc_k=K,
-        series_order=min(f.trunc_order for f in terms),
         complete=True,
         certificate=ConvergenceCertificate(
-            "finite", tuple((k, f.order()) for k, f in enumerate(terms)), K
+            "finite", tuple((k, f.order()) for k, f in enumerate(terms))
         ),
         validated_degree=min(n_max - slack, -t_min),
         source=table,

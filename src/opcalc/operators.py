@@ -269,8 +269,10 @@ def op_equal_upto(Q: OpExpr, R: OpExpr, N: int) -> bool:
     return all(left(n) == right(n) for n in range(N + 1))
 
 
-def shift_invariance_check(Q: OpExpr, N: int) -> bool:
+def shift_invariance_check(Q: OpExpr | Callable[[int], Poly], N: int) -> bool:
     """True iff Q commutes with translations on polynomials of degree <= N.
+
+    Q is an operator or, as for OpTable, an oracle n -> Q x^n.
 
     On polynomials, commuting with every translation is commuting with D
     (E^a = exp(aD), and for any a != 0, D = log(E^a)/a is a finite sum of
@@ -286,8 +288,10 @@ def shift_invariance_check(Q: OpExpr, N: int) -> bool:
     return True
 
 
-def d_expand(Q: OpExpr, N: int) -> SSeries:
+def d_expand(Q: OpExpr | Callable[[int], Poly], N: int) -> SSeries:
     """Classical expansion in the derivative: a_k = (Q x^k / k!) at x = 0.
+
+    Q is an operator or, as for OpTable, an oracle n -> Q x^n.
 
     For shift-invariant Q the reconstruction sum_k a_k D^k agrees with Q
     on polynomials of degree <= N; wrapping the result in SeriesInD gives

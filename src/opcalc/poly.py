@@ -168,10 +168,6 @@ class Poly:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "Poly":
         return cls((1,))
 

@@ -62,9 +62,6 @@ class PolySequence:
     def poly(self, n: int) -> Poly:
         return self.polys[n]
 
-    def __len__(self) -> int:
-        return len(self.polys)
-
 
 def delta_from_series(f: SSeries) -> DeltaOp:
     """Wrap a series symbol, insisting on order exactly 1 within truncation."""
@@ -180,8 +177,6 @@ def umbral_op_dx(P: DeltaOp, K: int) -> DXExpansion:
         raise AssertionError("umbral DX margins failed to certify (internal error)")
     return DXExpansion(
         terms=tuple(terms),
-        trunc_k=K,
-        series_order=min(f.trunc_order for f in terms),
         complete=False,
         certificate=verdict.certificate,
         source=_family_table(partial(conjugate_polys, P), P.trunc_order, getitem),
@@ -207,14 +202,6 @@ def _raise_index(p: Poly, b: tuple) -> Poly:
     return combine([c * (n + 1) for n, c in enumerate(coords)], lambda n: b[n + 1])
 
 
-def _normalized(P: DeltaOp) -> tuple:
-    """(c, P-hat) with P-hat = (1/c) P of slope 1; sigma_P = (1/c) sigma_P-hat."""
-    c = P.slope
-    if c == 1:
-        return c, P
-    return c, DeltaOp(P.f.scale(1 / c))
-
-
 def rodrigues_xd(P: DeltaOp, N: int) -> XDExpansion:
     """Umbral shift as X times the inverse Pincherle derivative.
 
@@ -238,27 +225,21 @@ def umbral_shift_as_op(P: DeltaOp) -> OpExpr:
 def umbral_shift_dx(P: DeltaOp, N: int) -> DXExpansion:
     """Two-term DX form of the umbral shift: (1/P') X + P''/(P')^2.
 
-    Computed on the slope-1 rescaling of P and scaled back, which leaves
-    the two series unchanged; X appears with exponent at most one, so
-    the expansion is complete and finite.
+    X appears with exponent at most one, so the expansion is complete and
+    finite.
     """
     if P.trunc_order < N + 2:
         raise TruncationError(
             f"symbol truncated at {P.trunc_order} cannot certify the shift to {N}"
         )
-    c, Phat = _normalized(P)
-    fp = Phat.f.derivative()
-    inv = fp.invert()
-    fpp = fp.derivative()
-    f1 = inv.scale(Rat(1) / c)
-    f0 = (fpp * inv * inv).scale(Rat(1) / c)
+    fp = P.f.derivative()
+    f1 = fp.invert()
+    f0 = fp.derivative() * f1 * f1
     return DXExpansion(
         terms=(f0, f1),
-        trunc_k=1,
-        series_order=f0.trunc_order,
         complete=True,
         certificate=ConvergenceCertificate(
-            "finite", tuple((k, f.order()) for k, f in enumerate((f0, f1))), 1
+            "finite", tuple((k, f.order()) for k, f in enumerate((f0, f1)))
         ),
         source=_family_table(lambda n: _divided_powers(P, n + 1), P.trunc_order - 2,
                              lambda b, n: _raise_index(Poly.monomial(n), b)),

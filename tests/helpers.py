@@ -10,6 +10,7 @@ from fractions import Fraction
 from opcalc import (
     D,
     Delta,
+    DiagonalFit,
     Eval0,
     Identity,
     J,
@@ -20,7 +21,10 @@ from opcalc import (
     SSeries,
     Substitute,
     X,
+    binomial_poly,
+    rat,
 )
+from opcalc.poly import combine
 
 COEFFS = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
 NONZERO = [c for c in COEFFS if c != 0]
@@ -123,3 +127,26 @@ def random_dx_operator(rng: random.Random):
     if kind == 2:
         return rng.choice(NONZERO) * random_dx_atom(rng)
     return random_dx_atom(rng) * random_dx_atom(rng)
+
+
+def reference_fit_diagonal(t: int, samples, n_max: int, slack: int) -> DiagonalFit:
+    """Reference fit: build every difference level up to n_max - slack, then scan.
+
+    The first all-zero level is the fitted degree plus one; its heads give
+    the Newton form.  Slower than ``fit_diagonal`` on windows that vanish
+    early, and independent of its early stop.
+    """
+    samples = tuple(rat(s) for s in samples)
+    levels = [list(samples)]
+    for _ in range(n_max - slack):
+        prev = levels[-1]
+        levels.append([prev[i + 1] - prev[i] for i in range(len(prev) - 1)])
+    for m, level in enumerate(levels):
+        if all(v == 0 for v in level):
+            break
+    else:
+        return DiagonalFit(t, samples, "not_polynomial", None, n_max, slack)
+    if m == 0:
+        return DiagonalFit(t, samples, "identically_zero", Poly(), n_max, slack)
+    poly = combine([level[0] for level in levels[:m]], binomial_poly)
+    return DiagonalFit(t, samples, "polynomial", poly, n_max, slack)

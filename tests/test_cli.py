@@ -8,6 +8,7 @@ import pytest
 
 from opcalc.cli import COMMANDS, GRAMMAR_HELP, main
 from opcalc.dsl import parse_operator
+from opcalc.operators import Delta
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -106,6 +107,15 @@ def test_d_expand(capsys):
     code, out, _ = run(capsys, "d-expand", "X", "--strict", "--format", "json")
     assert code == 3
     assert json.loads(out)["shift_invariant"] is False
+
+
+def test_d_expand_computes_each_row_once(capsys, monkeypatch):
+    # d_expand and the shift-invariance check read one table of Q x^0..x^8
+    calls = []
+    apply = Delta.apply
+    monkeypatch.setattr(Delta, "apply", lambda self, p: calls.append(p) or apply(self, p))
+    code, _, _ = run(capsys, "d-expand", "Delta", "-N", "8")
+    assert code == 0 and len(calls) == 9
 
 
 def test_normal_order_golden(capsys):

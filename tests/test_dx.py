@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -38,7 +38,7 @@ from opcalc import (
     rat,
 )
 
-from helpers import random_dx_operator
+from helpers import COEFFS, NONZERO, random_dx_operator, reference_fit_diagonal
 
 
 # ----------------------------------------------------------------------
@@ -93,6 +93,35 @@ def test_fit_zero_and_nonpolynomial():
     fit = fit_diagonal(0, geom, 12, 3)
     assert fit.verdict == "not_polynomial"
     assert fit.evidence_order == 9
+
+
+def _fit_windows(rng, n_max, slack):
+    """Windows that sit on each side of every decision in the fit."""
+    ns = range(n_max + 1)
+    edge = {0, n_max, n_max - slack - 1, n_max - slack, n_max - slack + 1,
+            rng.randint(0, n_max)}
+    degrees = sorted(d for d in edge if 0 <= d <= n_max)
+    for d in degrees:
+        coeffs = [rng.choice(COEFFS) for _ in range(d)] + [rng.choice(NONZERO)]
+        yield [Poly(coeffs).eval(n) for n in ns]
+        yield [rng.choice(NONZERO) * comb(n, d) for n in ns]
+    yield [0] * (n_max + 1)
+    j = rng.randint(0, n_max)
+    yield [rng.choice(NONZERO) if n == j else 0 for n in ns]
+    yield [rng.choice(COEFFS) for _ in ns]
+
+
+def test_fit_matches_all_levels_reference():
+    # the early stop must not change a verdict or a fitted polynomial,
+    # also at slack = n_max + 1, where level 0 is still tested
+    rng = random.Random(20)
+    for n_max in range(25):
+        for slack in range(n_max + 2):
+            for samples in _fit_windows(rng, n_max, slack):
+                t = rng.randint(-3, 3)
+                got = fit_diagonal(t, samples, n_max, slack)
+                assert got == reference_fit_diagonal(t, samples, n_max, slack), (
+                    n_max, slack, samples)
 
 
 def test_window_too_small():
@@ -218,10 +247,8 @@ def test_dx_apply_zero_expansion():
 
     E = DXExpansion(
         terms=(SSeries.zero(6),),
-        trunc_k=0,
-        series_order=6,
         complete=True,
-        certificate=ConvergenceCertificate("finite", ((0, POS_INF),), 0),
+        certificate=ConvergenceCertificate("finite", ((0, POS_INF),)),
     )
     assert dx_apply(E, Poly.parse("x^3 - 1")) == Poly()
 
@@ -232,8 +259,6 @@ def test_dx_apply_guards():
     # truncation of an infinite sum without a certificate
     E = DXExpansion(
         terms=(SSeries((1,), 2),),
-        trunc_k=0,
-        series_order=2,
         complete=False,
         certificate=None,
     )
@@ -243,8 +268,6 @@ def test_dx_apply_guards():
     # term whose truncation hides contributing coefficients
     E2 = DXExpansion(
         terms=(SSeries((1, 1), 1),),
-        trunc_k=0,
-        series_order=1,
         complete=True,
         certificate=None,
     )
@@ -261,11 +284,9 @@ def test_transpose_shift():
 def test_transpose_simple_shapes():
     from opcalc import DXExpansion, ConvergenceCertificate
 
-    cert = ConvergenceCertificate("finite", ((0, 0),), 0)
+    cert = ConvergenceCertificate("finite", ((0, 0),))
     single = DXExpansion(
         terms=(SSeries((1, 0, 0), 2),),
-        trunc_k=0,
-        series_order=2,
         complete=True,
         certificate=cert,
     )
@@ -273,8 +294,6 @@ def test_transpose_simple_shapes():
     # the word D^2 X: f_1 = t^2
     word = DXExpansion(
         terms=(SSeries.zero(3), SSeries((0, 0, 1, 0), 3)),
-        trunc_k=1,
-        series_order=3,
         complete=True,
         certificate=cert,
     )
@@ -368,10 +387,8 @@ def test_gf_consistency_needs_source():
 
     E = DXExpansion(
         terms=(SSeries((1,) + (0,) * 10, 10),),
-        trunc_k=0,
-        series_order=10,
         complete=True,
-        certificate=ConvergenceCertificate("finite", ((0, 0),), 0),
+        certificate=ConvergenceCertificate("finite", ((0, 0),)),
         source=None,
     )
     with pytest.raises(ValueError):
