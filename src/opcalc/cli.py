@@ -14,7 +14,10 @@ form and the exit code.  ``main`` prints one of the two, chosen by
 
 Exit codes: 0 success; 2 parse or usage error; 3 negative verdict under
 --strict (non-polynomial diagonal, missing DX-expansion, failed
-invariance); 4 certificate or truncation failures.
+invariance); 4 certificate or truncation failures.  When standard output
+is closed before the document is written, as under ``| head -1``, the
+rest of the document is dropped without a traceback and the exit code is
+still the one above.
 """
 
 from __future__ import annotations
@@ -453,7 +456,13 @@ def main(argv=None) -> int:
     except OpcalcError as err:
         print(f"opcalc: {err}", file=sys.stderr)
         return 4
-    print(json.dumps(doc) if args.format == "json" else text)
+    try:
+        print(json.dumps(doc) if args.format == "json" else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point fd 1 at devnull so that the flush at
+        # interpreter exit is quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -5,9 +5,10 @@ the matrix diagonal q_t(n) = coefficient of x^(n+t) in Q x^n: the
 expansion exists iff every q_t is a polynomial in n.  Membership in K[n]
 is undecidable from finitely many samples, so every verdict here is
 window-relative evidence: samples q_t(0..n_max) are fitted by forward
-differences, taken only up to the first order that vanishes, and a
-verdict requires that order to leave at least ``slack`` further samples
-as corroboration.
+differences, taken on integers over the samples' common denominator
+with the kernel that also computes the XD expansion, only up to the
+first order that vanishes, and a verdict requires that order to leave at
+least ``slack`` further samples as corroboration.
 
 The constructive direction writes each fitted diagonal in the basis
 p_k(n) = (n+t+k)_k (monic of degree k, so back-substitution is exact and
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -33,7 +34,16 @@ from .errors import (
 )
 from .expansions import _xd_terms
 from .operators import OpTable, SeriesInD
-from .poly import NEG_INF, Poly, Rat, combine, coordinates, falling_factorial, rat
+from .poly import (
+    NEG_INF,
+    Poly,
+    Rat,
+    combine,
+    coordinates,
+    difference_heads,
+    falling_factorial,
+    rat,
+)
 from .series import POS_INF, SSeries
 
 # ----------------------------------------------------------------------
@@ -247,22 +257,21 @@ def binomial_poly(i: int) -> Poly:
 def fit_diagonal(t: int, samples: Sequence, n_max: int, slack: int) -> DiagonalFit:
     """Fit one diagonal window by Newton forward differences.
 
-    Levels are built one at a time up to the first that vanishes; only
-    the current level and the heads Delta^m q(0) are kept.  A level
+    The samples are differenced as integers over their common
+    denominator L, one level at a time up to the first that vanishes;
+    the heads Delta^m q(0) are those integers over L.  A level
     n_max - slack that is still nonzero (level 0 when that order is
     negative) means no fit.
     """
     samples = tuple(rat(s) for s in samples)
-    heads = []
-    level = samples
-    while any(level):
-        if len(heads) >= n_max - slack:
-            return DiagonalFit(t, samples, "not_polynomial", None, n_max, slack)
-        heads.append(level[0])
-        level = [b - a for a, b in zip(level, level[1:])]
+    L = lcm(*[s.denominator for s in samples])
+    ints = [s.numerator * (L // s.denominator) for s in samples]
+    heads = difference_heads(ints, n_max - slack)
+    if heads is None:
+        return DiagonalFit(t, samples, "not_polynomial", None, n_max, slack)
     if not heads:
         return DiagonalFit(t, samples, "identically_zero", Poly(), n_max, slack)
-    poly = combine(heads, binomial_poly)
+    poly = combine([Rat(h, L) for h in heads], binomial_poly)
     for n, s in enumerate(samples):
         if poly.eval(n) != s:
             raise AssertionError(
@@ -433,8 +442,8 @@ def polynomial_diagonals(fits: Sequence) -> dict:
 def gf_consistency_check(expansion: DXExpansion, N: int) -> bool:
     """Check both closed forms of Q exp(xt)/exp(xt) against the operator.
 
-    The direct side reads the expansion's source rows Q x^j against the
-    exponential kernel coefficients.  The first formula side sums
+    The direct side is the XD expansion of the source rows Q x^j, read
+    off their integer diagonal differences.  The first formula side sums
     C(n,k) f_n^(k)(t) x^(n-k) over the stored terms; the second uses the
     transposed coefficients a_n(x) with polynomial derivatives,
     C(n,k) a_n^(k)(x) t^(n-k).  All three must agree coefficientwise

@@ -1,23 +1,27 @@
 """Expansion of arbitrary linear operators with multiplication on the left.
 
 Every linear operator Q on polynomials has a unique expansion
-``Q = sum_n a_n(X) B^n`` for any degree-reducing B; for B = D the
-coefficient polynomials come from multiplying the transformed exponential
-kernel by its inverse, and for general B from dividing by the divided-power
-generating function.  Applied to a polynomial, only finitely many terms of
-the sum act nonzero, so reconstruction is exact.
+``Q = sum_n a_n(X) B^n`` for any degree-reducing B.  For B = D,
+Q x^j = sum_n a_n(x) (j)_n x^(j-n), so the diagonal
+q_t(j) = [x^(j+t)] Q x^j has the Newton series
+sum_n n! [x^(n+t)] a_n C(j, n): its forward-difference heads are
+Delta^n q_t(0) = n! [x^(n+t)] a_n, computed on integers by the kernel
+that also fits DX diagonals.  For general B the coefficients come from
+dividing by the divided-power generating function.  Applied to a
+polynomial, only finitely many terms of the sum act nonzero, so
+reconstruction is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from .errors import NotDegreeReducing, TruncationError
 from .operators import D, Delta, OpExpr, OpTable
-from .poly import NEG_INF, Poly, Rat, RatLike, combine, coordinates
-from .series import PSeries, _exp_neg_xt
+from .poly import NEG_INF, Poly, RatLike, _poly, combine, coordinates, difference_heads
+from .series import PSeries
 
 
 @dataclass(frozen=True)
@@ -105,14 +109,28 @@ def divided_power_basis(B: OpExpr, N: int, tag: str | None = None) -> DividedPow
 
 
 def _xd_terms(row, N: int) -> tuple:
-    """a_0..a_N of sum_n a_n(x) D^n for the operator with rows Q x^j = row(j):
-    the t^n coefficients of (sum_j row(j) t^j / j!) exp(-xt)."""
-    rows = PSeries(tuple(row(j).scale(Rat(1, factorial(j))) for j in range(N + 1)), N)
-    return (rows * _exp_neg_xt(N)).coeffs
+    """a_0..a_N of sum_n a_n(x) D^n for the operator with rows Q x^j = row(j).
+
+    Rows 0..N go over one common denominator L; the integer diagonal
+    q_t(j) L, j = 0..N, has the heads Delta^n q_t(0) L = n! L [x^(n+t)] a_n.
+    """
+    rows = [row(j) for j in range(N + 1)]
+    L = lcm(*[r.den for r in rows])
+    nums = [[n * (L // r.den) for n in r.nums] for r in rows]
+    # Every diagonal above top is zero, so a_n has degree at most n + top.
+    top = max([len(ns) - 1 - j for j, ns in enumerate(nums) if ns], default=-N - 1)
+    terms = [[0] * (n + top + 1) for n in range(N + 1)]
+    for t in range(-N, top + 1):
+        diagonal = [ns[j + t] if 0 <= j + t < len(ns) else 0 for j, ns in enumerate(nums)]
+        # q_t(j) = 0 for j < -t, so every nonzero head has n + t >= 0.
+        for n, h in enumerate(difference_heads(diagonal)):
+            if h:
+                terms[n][n + t] = h
+    return tuple(_poly(a, factorial(n) * L) for n, a in enumerate(terms))
 
 
 def xd_expand(Q: OpExpr, N: int) -> XDExpansion:
-    """Expansion of Q in X and D: a_n(x) from Q exp(xt) times exp(-xt)."""
+    """Expansion of Q in X and D: a_n(x) from the differences of Q's diagonals."""
     return XDExpansion(_xd_terms(OpTable(Q).row, N), N, D(), "D")
 
 

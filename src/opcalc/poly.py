@@ -22,10 +22,19 @@ coefficient; adding ``2^(B-1)`` to each digit makes all digits
 nonnegative for unpacking.  A factor with a single nonzero term (a
 constant or a monomial) takes a scalar path instead.
 
+``shift`` is a Taylor shift by synthetic division on the numerators
+(von zur Gathen and Gerhard, "Fast algorithms for Taylor shifts and
+certain difference equations", ISSAC 1997): a shift by u/v is a shift by
+the integer u of the polynomial scaled to integer coefficients in v x,
+O(d^2) small-integer steps and one normalisation.
+
 Every change of coordinates against a triangular basis goes through two
 helpers: ``coordinates`` solves p = sum_k c_k basis(k) by
 back-substitution, and ``combine`` forms the sum from the c_k.  Both call
 ``basis`` only at a nonzero coefficient, so a basis can be built lazily.
+``difference_heads`` is the Newton-difference kernel of the diagonal
+engines: the forward-difference heads of an integer sequence, which
+``combine`` turns back into a polynomial in the binomial basis.
 
 ``render_poly`` writes the text form and ``Scanner`` reads it; the same
 ``Scanner`` reads the operator language of `opcalc.dsl`.
@@ -310,8 +319,26 @@ class Poly:
         return acc
 
     def shift(self, a: RatLike) -> "Poly":
-        """p(x + a)."""
-        return self.compose(Poly((rat(a), 1)))
+        """p(x + a), by synthetic division on integers.
+
+        For a = u/v and degree d, den v^d p(y/v) has the integer
+        coefficients r_j = nums[j] v^(d-j).  Rounds of the steps
+        r_j += u r_(j+1), from the top, turn them into those of
+        den v^d p((y + u)/v); at y = v x that is den v^d p(x + a), whose
+        coefficient of x^k is r_k v^k.
+        """
+        a = rat(a)
+        nums = self.nums
+        if not a or len(nums) < 2:
+            return self
+        u, v = a.numerator, a.denominator
+        d = len(nums) - 1
+        r = [n * v ** (d - j) for j, n in enumerate(nums)]
+        for i in range(d):
+            acc = r[d]
+            for j in range(d - 1, i - 1, -1):
+                acc = r[j] = r[j] + u * acc
+        return _poly([c * v ** k for k, c in enumerate(r)], self.den * v ** d)
 
     # -- comparison / hashing ------------------------------------------
 
@@ -363,6 +390,23 @@ def combine(coeffs: Sequence[RatLike], basis: Callable[[int], Poly]) -> Poly:
         if c != 0:
             out = out + basis(k).scale(c)
     return out
+
+
+def difference_heads(values: Sequence[int], limit: int | None = None) -> list | None:
+    """The heads Delta^m v(0) of the forward-difference levels of ``values``.
+
+    Levels are built one at a time on integers, up to the first that is
+    all zero; its head and every later one are zero and are left out.
+    With a ``limit``, a level ``limit`` that is still nonzero gives None.
+    """
+    heads = []
+    level = values
+    while any(level):
+        if limit is not None and len(heads) >= limit:
+            return None
+        heads.append(level[0])
+        level = [b - a for a, b in zip(level, level[1:])]
+    return heads
 
 
 def falling_factorial(m: int) -> Poly:

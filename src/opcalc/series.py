@@ -15,8 +15,9 @@ read off (f(r))' = f'(r) r' so that each step composes once.
 
 ``SSeries`` is the truncated-series type.  A ``PSeries`` (exact
 polynomials in x as the coefficients of t^0..t^N) serves only the
-generating functions in x and t: exp(-xt) and b(x,t) for the XD and XB
-expansions, exp(x g(t)) (``exp_x``) for the umbral families.  It keeps
+generating functions in x and t: b(x,t) for the XB expansion and
+exp(x g(t)) (``exp_x``) for the umbral families; the XD expansion reads
+its coefficients off integer diagonals instead.  It keeps
 a tuple of ``Poly`` and just the product, the inverse and ``pseries_exp``:
 a packed bivariate product measured mostly slower, and one class generic
 over both coefficient types would branch on the type in every method.
@@ -302,13 +303,6 @@ class PSeries:
     def __repr__(self) -> str:
         inner = ", ".join(str(c) for c in self.coeffs)
         return f"PSeries([{inner}], N={self.trunc_order})"
-
-
-def _exp_neg_xt(trunc: int) -> PSeries:
-    """exp(-xt) truncated: coefficient of t^n is (-x)^n/n!."""
-    return PSeries(
-        tuple(Poly.monomial(n, Rat((-1) ** n, factorial(n))) for n in range(trunc + 1)), trunc
-    )
 
 
 def pseries_exp(u: PSeries) -> PSeries:

@@ -6,6 +6,7 @@ rationals to keep exact arithmetic fast.
 
 import random
 from fractions import Fraction
+from math import factorial
 
 from opcalc import (
     D,
@@ -25,6 +26,7 @@ from opcalc import (
     rat,
 )
 from opcalc.poly import combine
+from opcalc.series import PSeries
 
 COEFFS = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
 NONZERO = [c for c in COEFFS if c != 0]
@@ -150,3 +152,17 @@ def reference_fit_diagonal(t: int, samples, n_max: int, slack: int) -> DiagonalF
         return DiagonalFit(t, samples, "identically_zero", Poly(), n_max, slack)
     poly = combine([level[0] for level in levels[:m]], binomial_poly)
     return DiagonalFit(t, samples, "polynomial", poly, n_max, slack)
+
+
+def reference_xd_terms(row, N: int) -> tuple:
+    """Reference a_0..a_N of sum_n a_n(x) D^n for the rows Q x^j = row(j).
+
+    The t^n coefficients of (sum_j row(j) t^j / j!) exp(-xt), multiplied
+    as series with polynomial coefficients: Q exp(xt) = exp(xt) sum_n a_n t^n.
+    Independent of the integer diagonal differences of ``xd_expand``.
+    """
+    rows = PSeries(tuple(row(j).scale(Fraction(1, factorial(j))) for j in range(N + 1)), N)
+    kernel = PSeries(
+        tuple(Poly.monomial(n, Fraction((-1) ** n, factorial(n))) for n in range(N + 1)), N
+    )
+    return (rows * kernel).coeffs

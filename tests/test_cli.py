@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,6 +66,29 @@ def test_check_dx_golden_and_exit_codes(capsys):
     assert not doc["all_polynomial"]
     code, _, _ = run(capsys, *args, "--strict")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "extra, want", [((), 0), (("--strict",), 3), (("--format", "json", "--strict"), 3)]
+)
+def test_closed_stdout_keeps_the_exit_code_without_a_traceback(extra, want):
+    # The read end is closed before the child starts, so its first write
+    # to standard output fails with EPIPE, as under `| head -1`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = ["check-dx", "J", "--t", "-1..2", "-n", "12", *extra]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "opcalc.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == want
+    assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
 
 
 def test_check_dx_accepts(capsys):

@@ -124,6 +124,46 @@ def test_fit_matches_all_levels_reference():
                     n_max, slack, samples)
 
 
+def _as_given(s: Fraction, rng) -> object:
+    """s as a caller may pass it: an int when integral, else a str, or the Fraction."""
+    kind = rng.randrange(3)
+    if kind == 0 and s.denominator == 1:
+        return int(s)
+    if kind == 1:
+        return str(s)
+    return s
+
+
+def test_fit_matches_reference_on_mixed_denominator_windows():
+    # Diagonals of c E(-2/3) are (-2/3)^m c C(n, m) on t = -m, and that of
+    # c J + a X on t = 1 is c/(n + 1) + a: samples whose denominators
+    # differ from n to n, given as int, str and Fraction.
+    rng = random.Random(21)
+    c, a = Fraction(5, 7), Fraction(-3, 4)
+    shift, integral = OpTable(c * Shift(Fraction(-2, 3))), OpTable(c * J() + a * X())
+    for n_max in (4, 9, 16, 24):
+        for slack in (0, 3, n_max - 2):
+            limit = n_max - slack
+            windows = [(t, shift.diagonal(t, n_max)) for t in (1 - limit, -limit, 0, 1)]
+            windows += [(t, integral.diagonal(t, n_max)) for t in (0, 1)]
+            # Degree limit - 1 fits; degree limit is the first that does not.
+            for d in (limit - 1, limit):
+                p = Poly([Fraction(1, k + 2) for k in range(d)] + [Fraction(-3, 5)])
+                windows.append((0, [p.eval(n) for n in range(n_max + 1)]))
+            verdicts = []
+            for t, window in windows:
+                samples = [_as_given(s, rng) for s in window]
+                got = fit_diagonal(t, samples, n_max, slack)
+                assert got == reference_fit_diagonal(t, samples, n_max, slack), (
+                    n_max, slack, t, samples)
+                assert got.samples == tuple(window)
+                verdicts.append(got.verdict)
+            assert verdicts == [
+                "polynomial", "not_polynomial", "polynomial", "identically_zero",
+                "identically_zero", "not_polynomial", "polynomial", "not_polynomial",
+            ]
+
+
 def test_window_too_small():
     with pytest.raises(WindowTooSmall):
         dx_check(OpTable(D()), -1, 1, 4, 3)

@@ -14,6 +14,7 @@ from opcalc import (
     Poly,
     PolyInX,
     SeriesInD,
+    Shift,
     SSeries,
     Substitute,
     TruncationError,
@@ -28,9 +29,11 @@ from opcalc import (
     xd_apply,
     xd_expand,
 )
+from opcalc.expansions import _xd_terms
+from opcalc.operators import OpTable
 from opcalc.series import PSeries
 
-from helpers import random_operator, random_poly
+from helpers import NONZERO, random_operator, random_poly, reference_xd_terms
 
 
 # ----------------------------------------------------------------------
@@ -162,6 +165,57 @@ def test_xd_reconstruction_random():
         expansion = xd_expand(Q, N)
         p = random_poly(rng, N)
         assert xd_apply(expansion, p) == Q.apply(p)
+
+
+# The five xd kinds of the expand benchmark workload, then operators whose
+# rows climb above the diagonal, and the zero operator.
+XD_SHAPES = {
+    "c Delta + b D": lambda a, b, c: c * Delta() + b * D(),
+    "c E(a)": lambda a, b, c: c * Shift(a),
+    "X D + poly(a + b x) Delta": lambda a, b, c: X() * D() + PolyInX(Poly([a, b])) * Delta(),
+    "c J + E(b)": lambda a, b, c: c * J() + Shift(b),
+    "sub(a + b x + c x^2)": lambda a, b, c: Substitute(Poly([a, b, c])),
+    "sub(a + b x^3)": lambda a, b, c: Substitute(Poly([a, 0, 0, b])),
+    "poly(c x^5 + a x) + b D": lambda a, b, c: PolyInX(Poly([0, a, 0, 0, 0, c])) + b * D(),
+    "0 D": lambda a, b, c: 0 * D(),
+}
+
+
+@pytest.mark.parametrize("N", [16, 24, 32])
+@pytest.mark.parametrize("shape", XD_SHAPES)
+def test_xd_terms_match_the_exponential_kernel_route(shape, N):
+    rng = random.Random(f"{shape} {N}")
+    Q = XD_SHAPES[shape](*(rng.choice(NONZERO) for _ in "abc"))
+    row = OpTable(Q).row
+    got = _xd_terms(row, N)
+    assert len(got) == N + 1
+    assert got == reference_xd_terms(row, N)
+
+
+def test_xd_terms_match_the_exponential_kernel_route_on_random_operators():
+    rng = random.Random(11)
+    for _ in range(40):
+        row = OpTable(random_operator(rng, depth=3)).row
+        N = rng.randint(0, 12)
+        assert _xd_terms(row, N) == reference_xd_terms(row, N)
+
+
+def test_xd_terms_of_an_oracle_with_different_row_denominators():
+    # Row n has the denominators n + 2, 3 and 2^n, and climbs n + 1 above
+    # the diagonal from row 1 on; row 0 is zero.
+    def row(n):
+        if n == 0:
+            return Poly()
+        return (
+            Poly.monomial(2 * n + 1, Fraction(1, n + 2))
+            + Poly.monomial(n - 1, Fraction(n, 3))
+            + Poly.const(Fraction((-1) ** n, 2**n))
+        )
+
+    table = OpTable(row)
+    for N in (0, 1, 5, 16):
+        assert _xd_terms(table.row, N) == reference_xd_terms(table.row, N)
+    assert _xd_terms(OpTable(lambda n: Poly()).row, 6) == (Poly(),) * 7
 
 
 def test_xd_uniqueness_properties():

@@ -114,6 +114,44 @@ def test_shift_matches_sympy(p, a):
     check(p.shift(a), to_sympy(p).shift(to_rational(a)))
 
 
+# The shifts the synthetic division treats alike or apart: none, an
+# integer of either sign, a proper fraction, and one whose numerator and
+# denominator pass a machine word.
+SHIFTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(-2, 3), Fraction(-(2**90) - 1, 3**45))
+
+
+@st.composite
+def wide_polys(draw):
+    """Polynomials of degree exactly 16..64."""
+    d = draw(st.integers(16, 64))
+    return Poly([*draw(st.lists(coeff, min_size=d, max_size=d)), draw(scalars.filter(bool))])
+
+
+@SETTINGS
+@given(wide_polys(), st.one_of(st.sampled_from(SHIFTS), big))
+def test_shift_matches_sympy_at_degrees_16_to_64(p, a):
+    assert 16 <= p.degree <= 64
+    check(p.shift(a), to_sympy(p).shift(to_rational(a)))
+
+
+@pytest.mark.parametrize("a", SHIFTS)
+@pytest.mark.parametrize(
+    "p",
+    [
+        Poly(),
+        Poly.const(5),
+        Poly.const(Fraction(-7, 2**70)),
+        Poly.monomial(16, Fraction(-2, 3)),
+        Poly.monomial(64),
+        Poly([Fraction((-1) ** k * (k + 1), 1 + k % 5) for k in range(65)]),
+    ],
+    ids=["zero", "const", "big-const", "x^16", "x^64", "dense-64"],
+)
+def test_shift_of_zero_constants_and_monomials_matches_sympy(p, a):
+    check(p.shift(a), to_sympy(p).shift(to_rational(a)))
+    check(p.shift(a).shift(-a), to_sympy(p))
+
+
 @SETTINGS
 @given(polys, polys, polys)
 def test_equal_polys_from_different_paths_hash_alike(p, q, r):
